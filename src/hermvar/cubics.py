@@ -36,6 +36,7 @@ from .projgeom import (
     Hyperplane,
     LinearSubspace,
     enumerate_points,
+    incidence_blocks,
     intersect_hyperplanes,
     normalize,
     nullspace,
@@ -151,14 +152,21 @@ def evaluate_poly(C, coords, ctx):
     return acc
 
 
+def _monomial_column(exp, pts, ctx):
+    """Values of the monic monomial x^exp at each row of a point-index
+    array (exp has positive degree)."""
+    col = None
+    for i, e in enumerate(exp):
+        for _ in range(e):
+            col = pts[:, i] if col is None else ctx.vmul(col, pts[:, i])
+    return col
+
+
 def eval_poly_at(C, pts, ctx):
     """Vectorized values of the form at each row of a point-index array."""
     acc = np.zeros(len(pts), dtype=np.uint8)
     for exp, c in C.monomials:
-        col = None
-        for i, e in enumerate(exp):
-            for _ in range(e):
-                col = pts[:, i] if col is None else ctx.vmul(col, pts[:, i])
+        col = _monomial_column(exp, pts, ctx)
         term = col if c == 1 else ctx.vscale(c, col)
         acc = ctx.vadd(acc, term)
     return acc
@@ -456,14 +464,43 @@ def _probe_plane(C, ctx):
     return tuple(rows)
 
 
+def _line_factors(R, ctx):
+    """Canonical covectors, in canonical order, of the lines of P^2 whose
+    linear form divides the ternary form R.
+
+    Such a line carries q^2 + 1 zeros of R, so R is evaluated on all of P^2
+    once and every line is tested against its zeros only: a nonzero form of
+    degree d <= q^2 has at most d(q^2 + 1) of them (each line through a point
+    off V(R) meets V(R) at most d times).  Each line kept is confirmed
+    exactly by divides_linear."""
+    pts = point_array(2, ctx)
+    zeros = pts[eval_poly_at(R, pts, ctx) == 0]
+    if len(zeros) < ctx.order + 1:
+        return []
+    on_line = np.empty(len(pts), dtype=np.int64)
+    for a, b, block in incidence_blocks(pts, zeros, ctx):
+        on_line[a:b] = block.sum(axis=1)
+    full = np.nonzero(on_line == ctx.order + 1)[0]
+    covs = (tuple(int(x) for x in pts[i]) for i in full)
+    return [L for L in covs if divides_linear(L, R, ctx)]
+
+
 def linear_factor(C, ctx):
     """First canonical hyperplane covector dividing C, or None.
 
     Complete by a probe-plane argument: any linear factor L either contains
     the probe plane entirely, or cuts it in a line that must divide the
-    restricted ternary form.  Both candidate families are finite and small,
-    so scanning them is an exact pruning of the full covector scan.  When the
-    restriction has no linear factor, C has none.
+    restricted ternary form R.  Both candidate families are finite and small,
+    so scanning them is an exact pruning of the full covector scan.  When R
+    has no linear factor, C has none.
+
+    The line factors of R are found in one vectorized pass: the lines of
+    P^2 on which R vanishes at every point are kept.  For a cubic nothing
+    else is kept: restricted to a line, R is a binary cubic,
+    which has at most 3 roots unless it is zero, while every line has
+    q^2 + 1 >= 5 points; so R vanishes on a whole line exactly when the
+    line's form divides R.  divides_linear still confirms each kept line,
+    and it is the final test of every candidate covector on C.
     """
     n = C.n
     if n < 3:
@@ -471,11 +508,7 @@ def linear_factor(C, ctx):
     basis = _probe_plane(C, ctx)
     R = restrict_poly(C, basis, ctx)
     assert R is not None  # the probe plane is chosen through a non-zero point
-    line_factors = [
-        L.coords
-        for L in enumerate_points(2, ctx)
-        if divides_linear(L.coords, R, ctx)
-    ]
+    line_factors = _line_factors(R, ctx)
     candidates = set()
     if line_factors:
         # hyperplanes containing the probe plane

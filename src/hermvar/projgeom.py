@@ -116,6 +116,19 @@ def point_array(n, ctx):
     return arr
 
 
+def incidence_blocks(covs, pts, ctx):
+    """Point-on-hyperplane incidence in row blocks of about 4 M entries:
+    yields (a, b, block) with block[i, p] True iff point pts[p] lies on the
+    hyperplane covs[a + i]."""
+    blk = max(1, 4_000_000 // len(pts))
+    for a in range(0, len(covs), blk):
+        b = min(a + blk, len(covs))
+        acc = np.zeros((b - a, len(pts)), dtype=np.uint8)
+        for j in range(pts.shape[1]):
+            acc = ctx.vadd(acc, ctx.vmul(covs[a:b, j][:, None], pts[None, :, j]))
+        yield a, b, acc == 0
+
+
 def _rank_offsets(n, Q):
     offs = [0] * (n + 2)
     for k in range(n + 1):

@@ -23,6 +23,7 @@ import numpy as np
 
 from .bounds import cone_counts, cubic_bound_closed
 from .cubics import (
+    _monomial_column,
     arrangement,
     intersect_count_arrangement,
     linear_factor,
@@ -43,6 +44,7 @@ from .projgeom import (
     Hyperplane,
     ProjPoint,
     enumerate_points,
+    incidence_blocks,
     num_points,
     point_array,
     point_from_rank,
@@ -68,15 +70,9 @@ def gaussian_binomial(m, k, Q):
 def incidence_zero_matrix(n, ctx):
     """Z[i, p] = True iff point p lies on hyperplane i (canonical orders)."""
     pts = point_array(n, ctx)
-    N = len(pts)
-    Z = np.empty((N, N), dtype=bool)
-    blk = max(1, 4_000_000 // N)
-    for a in range(0, N, blk):
-        b = min(a + blk, N)
-        acc = np.zeros((b - a, N), dtype=np.uint8)
-        for j in range(n + 1):
-            acc = ctx.vadd(acc, ctx.vmul(pts[a:b, j][:, None], pts[None, :, j]))
-        Z[a:b] = acc == 0
+    Z = np.empty((len(pts), len(pts)), dtype=bool)
+    for a, b, block in incidence_blocks(pts, pts, ctx):
+        Z[a:b] = block
     return Z
 
 
@@ -512,13 +508,8 @@ def incidence_double_count(n, q, budget=DEFAULT_POINT_BUDGET):
     # on the tangent hyperplane at point a
     nU = len(upts)
     tangent_through = np.zeros(nU, dtype=np.int64)
-    blk = max(1, 4_000_000 // nU)
-    for a in range(0, nU, blk):
-        b = min(a + blk, nU)
-        acc = np.zeros((b - a, nU), dtype=np.uint8)
-        for j in range(n + 1):
-            acc = ctx.vadd(acc, ctx.vmul(cov_arr[a:b, j][:, None], upts[None, :, j]))
-        tangent_through += (acc == 0).sum(axis=0)
+    for _, _, block in incidence_blocks(cov_arr, upts, ctx):
+        tangent_through += block.sum(axis=0)
     uniform = bool((tangent_through == tangent_through[0]).all())
     t_count = int(tangent_through[0])
     # hyperplane side
@@ -582,18 +573,13 @@ class RandomCubicReport:
 _RC_STATE = {}
 
 
-def _monomial_matrix(n, ctx):
-    """Rows of monomial values over all canonical points, one row per
-    degree-3 exponent tuple (descending graded-lex)."""
-    exps = monomial_exponents(n, 3)
-    pts = point_array(n, ctx)
+def _monomial_matrix(pts, ctx):
+    """Rows of monomial values at the given points, one row per degree-3
+    exponent tuple (descending graded-lex)."""
+    exps = monomial_exponents(pts.shape[1] - 1, 3)
     M = np.empty((len(exps), len(pts)), dtype=np.uint8)
     for r, exp in enumerate(exps):
-        col = None
-        for i, e in enumerate(exp):
-            for _ in range(e):
-                col = pts[:, i] if col is None else ctx.vmul(col, pts[:, i])
-        M[r] = col
+        M[r] = _monomial_column(exp, pts, ctx)
     return exps, M
 
 
@@ -615,7 +601,6 @@ def _cubic_trial(t):
     if lf is not None:
         return (t, "divisible", list(lf.covector), None)
     M = st["M"]
-    u = st["u"]
     acc = np.zeros(M.shape[1], dtype=np.uint8)
     coeff = dict(C.monomials)
     for r, exp in enumerate(exps):
@@ -624,7 +609,7 @@ def _cubic_trial(t):
             continue
         term = M[r] if c == 1 else ctx.vscale(c, M[r])
         acc = ctx.vadd(acc, term)
-    count = int(np.count_nonzero((acc == 0) & u))
+    count = int(np.count_nonzero(acc == 0))
     mono = [[list(e), int(c)] for e, c in C.monomials]
     return (t, "counted", count, mono)
 
@@ -635,24 +620,27 @@ def random_cubic_sample(
     """Sample uniformly random cubics, discard those divisible by a linear
     form, and compare each retained intersection count against the
     cubic-split threshold.  Exceedances at q >= 7 are counterexample
-    candidates and carry the full polynomial."""
+    candidates and carry the full polynomial.
+
+    Each cubic is evaluated on the points of U_n only (about 1/q of P^n),
+    through a monomial matrix built once over them and shared with forked
+    workers; the matrix is released when the call returns."""
     t0 = time.time()
     ctx = _ctx(q)
     N = num_points(n, q)
     if N > budget:
         raise BudgetExceeded(N, budget)
     f = standard_form(n, ctx)
-    exps, M = _monomial_matrix(n, ctx)
-    u = variety_mask(f)
-    _RC_STATE.clear()
-    _RC_STATE.update(
-        {"ctx": ctx, "n": n, "exps": exps, "M": M, "u": u, "seed": seed}
-    )
-    if workers > 1:
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            results = pool.map(_cubic_trial, range(trials), chunksize=1)
-    else:
-        results = [_cubic_trial(t) for t in range(trials)]
+    exps, M = _monomial_matrix(point_array(n, ctx)[variety_mask(f)], ctx)
+    _RC_STATE.update({"ctx": ctx, "n": n, "exps": exps, "M": M, "seed": seed})
+    try:
+        if workers > 1:
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                results = pool.map(_cubic_trial, range(trials), chunksize=1)
+        else:
+            results = [_cubic_trial(t) for t in range(trials)]
+    finally:
+        _RC_STATE.clear()
     results.sort(key=lambda r: r[0])
     threshold = cubic_bound_closed(n, q)
     hist = {}

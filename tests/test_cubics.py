@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from hermvar.cubics import (
+    _as_dict,
+    _line_factors,
+    _pmul,
     all_tangent_pencil_value,
     arrangement,
     build_extremal,
@@ -33,6 +36,7 @@ from hermvar.projgeom import (
     Hyperplane,
     enumerate_hyperplanes,
     enumerate_points,
+    hyperplanes_through,
     intersect_hyperplanes,
     pencil_through,
     point_array,
@@ -298,6 +302,53 @@ def test_linear_factor_complete_at_q2():
             assert got is None
 
 
+def ternary_cubic_cases(ctx, rng):
+    """Ternary cubics by family: random, L * conic, three concurrent lines,
+    three non-concurrent lines and L^3, each with the lines it must have."""
+    lines = list(enumerate_hyperplanes(2, ctx))
+    pts = list(enumerate_points(2, ctx))
+
+    def pick(k):
+        return [lines[int(i)] for i in rng.choice(len(lines), size=k, replace=False)]
+
+    cases = []
+    for _ in range(4):
+        cases.append(("random", random_hypersurface(2, 3, ctx, rng), []))
+        (L,) = pick(1)
+        conic = _as_dict(random_hypersurface(2, 2, ctx, rng))
+        lin = _as_dict(expand_product([L], ctx))
+        L_conic = make_hypersurface(_pmul(lin, conic, ctx), 2, 3, ctx)
+        cases.append(("L*conic", L_conic, [L]))
+        P = pts[int(rng.integers(len(pts)))]
+        through = list(hyperplanes_through(P, ctx))
+        idx = rng.choice(len(through), size=3, replace=False)
+        conc = [through[int(i)] for i in idx]
+        cases.append(("concurrent", expand_product(conc, ctx), conc))
+        while True:
+            tri = pick(3)
+            if intersect_hyperplanes(tri, ctx).dim == -1:
+                break
+        cases.append(("non-concurrent", expand_product(tri, ctx), tri))
+        cases.append(("L^3", expand_product([L, L, L], ctx), [L]))
+    return cases
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_line_factors_match_scalar_scan(q):
+    # the one-pass vanishing test, confirmed by divides_linear, finds exactly
+    # the lines the scalar scan over every line of P^2 finds, in its order
+    ctx = make_field(q)
+    rng = np.random.default_rng(30 + q)
+    for family, R, known in ternary_cubic_cases(ctx, rng):
+        scalar = [
+            L.coords
+            for L in enumerate_points(2, ctx)
+            if divides_linear(L.coords, R, ctx)
+        ]
+        assert _line_factors(R, ctx) == scalar, family
+        assert {h.covector for h in known} <= set(scalar), family
+
+
 def test_linear_factor_q3():
     ctx = make_field(3)
     rng = np.random.default_rng(7)
@@ -329,8 +380,6 @@ def test_affine_section_bound_preconditions():
     rng = np.random.default_rng(11)
     C, sigma, pi = make_affine_bound_instance(4, 3, ctx, rng)
     # C containing sigma entirely: multiply x_0 into everything
-    from hermvar.cubics import _as_dict, _pmul
-
     e0 = tuple(int(i == 0) for i in range(5))
     G = random_hypersurface(4, 2, ctx, rng)
     full = make_hypersurface(_pmul({e0: 1}, _as_dict(G), ctx), 4, 3, ctx)

@@ -141,27 +141,57 @@ def test_random_cubic_sample_deterministic():
 
 
 def test_random_cubic_counts_match_direct_enum():
-    # the fast monomial-table path must equal the generic enumeration path
-    from hermvar.cubics import intersect_count_enum, make_hypersurface, monomial_exponents
+    # counting on the variety's points must equal the generic enumeration
+    # over all of P^4: at (4,2), and at (4,3) where U_4 is 2,440 of 7,381
+    from hermvar.cubics import (
+        divides_linear,
+        intersect_count_enum,
+        make_hypersurface,
+        monomial_exponents,
+    )
     from hermvar.hermitian import standard_form
 
-    ctx = make_field(2)
-    f = standard_form(4, ctx)
-    rep = random_cubic_sample(4, 2, trials=10, seed=11)
     exps = monomial_exponents(4, 3)
-    rng_counts = []
-    for t in range(10):
-        rng = np.random.default_rng(np.random.SeedSequence((11, t)))
-        while True:
-            cs = rng.integers(0, ctx.order, size=len(exps))
-            if cs.any():
-                break
-        C = make_hypersurface({e: int(c) for e, c in zip(exps, cs)}, 4, 3, ctx)
-        rng_counts.append(intersect_count_enum(C, f))
-    hist = {}
-    for c in rng_counts:
-        hist[c] = hist.get(c, 0) + 1
-    assert hist == rep.histogram
+    for q in (2, 3):
+        ctx = make_field(q)
+        f = standard_form(4, ctx)
+        rep = random_cubic_sample(4, q, trials=10, seed=11)
+        discarded = {d["trial"]: d["linear_factor"] for d in rep.discarded_divisible}
+        hist = {}
+        for t in range(10):
+            rng = np.random.default_rng(np.random.SeedSequence((11, t)))
+            while True:
+                cs = rng.integers(0, ctx.order, size=len(exps))
+                if cs.any():
+                    break
+            C = make_hypersurface({e: int(c) for e, c in zip(exps, cs)}, 4, 3, ctx)
+            if t in discarded:
+                assert divides_linear(tuple(discarded[t]), C, ctx)
+                continue
+            c = intersect_count_enum(C, f)
+            hist[c] = hist.get(c, 0) + 1
+        assert hist == rep.histogram, q
+    assert rep.retained == 10
+    two = random_cubic_sample(4, 3, trials=10, seed=11, workers=2)
+    assert two.to_json_dict() == rep.to_json_dict()
+
+
+def test_random_cubic_sample_releases_state(monkeypatch):
+    # the shared trial state must not outlive the call, even when it fails
+    from hermvar import search
+
+    random_cubic_sample(4, 2, trials=3, seed=1)
+    assert search._RC_STATE == {}
+    random_cubic_sample(4, 2, trials=3, seed=1, workers=2)
+    assert search._RC_STATE == {}
+
+    def boom(C, ctx):
+        raise RuntimeError("trial failed")
+
+    monkeypatch.setattr(search, "linear_factor", boom)
+    with pytest.raises(RuntimeError):
+        random_cubic_sample(4, 2, trials=3, seed=1)
+    assert search._RC_STATE == {}
 
 
 def test_report_serialization(tmp_path):
