@@ -27,6 +27,7 @@ from .hermitian import (
     DEFAULT_POINT_BUDGET,
     _CHUNK,
     classify_hyperplane,
+    classify_hyperplanes,
     classify_section,
     eval_form_at,
     nondegenerate_count,
@@ -275,7 +276,8 @@ def arrangement(hyperplanes, f):
     if len(set(covs)) != len(covs):
         raise DuplicateHyperplanes("arrangement hyperplanes must be distinct")
     ctx = f.ctx
-    tang = tuple(classify_hyperplane(f, h).kind for h in hyperplanes)
+    tangent, _ = classify_hyperplanes(f, np.array(covs, dtype=np.uint8))
+    tang = tuple("tangent" if t else "non_tangent" for t in tangent)
     common = intersect_hyperplanes(hyperplanes, ctx)
     st = classify_section(f, common)
     return Arrangement(tuple(hyperplanes), tang, st, f.n, ctx.q)

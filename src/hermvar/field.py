@@ -118,6 +118,8 @@ class FieldCtx:
             raise NotPrimePower(f"q={q} is not a prime power")
         if q > cap:
             raise ExceedsCap(f"q={q} above cap {cap}")
+        if q * q > 256:
+            raise ExceedsCap(f"q={q}: F_{{q^2}} has {q * q} elements, uint8 tables hold 256")
         self.q = q
         self.p, self.e = pe
         self.order = q * q

@@ -22,7 +22,7 @@ from .projgeom import (
     Hyperplane,
     ProjPoint,
     matrix_rank,
-    normalize,
+    normalize_rows,
     num_points,
     point_array,
     rref,
@@ -301,22 +301,62 @@ def _inverse_matrix(f):
     return tuple(tuple(row[n1:]) for row in red)
 
 
+def _fsum(terms, ctx):
+    """Field sum along the last axis of an index array."""
+    acc = terms[..., 0]
+    for j in range(1, terms.shape[-1]):
+        acc = ctx.add_table[acc, terms[..., j]]
+    return acc
+
+
+def _matvec(M, vecs, ctx):
+    """Rows v of an index array mapped to M v (M a tuple-of-tuples matrix)."""
+    return _fsum(ctx.mul_table[np.array(M, dtype=np.uint8), vecs[:, None, :]], ctx)
+
+
+def _polar_covectors(f, pts):
+    """Normalized covectors of x -> x^T H p^(q), one per row p of pts."""
+    ctx = f.ctx
+    return normalize_rows(_matvec(f.matrix, ctx.vfrob(pts), ctx), ctx)
+
+
+def tangent_hyperplanes(f, pts):
+    """Batch tangent_hyperplane over the rows of a point array: the tangent
+    covectors, one row per point."""
+    ctx = f.ctx
+    off = np.nonzero(eval_form_at(f, pts))[0]
+    if len(off):
+        coords = tuple(int(x) for x in pts[off[0]])
+        raise NotOnVariety(f"point {coords} is not on the variety")
+    covs = _polar_covectors(f, pts)
+    assert not _fsum(ctx.mul_table[covs, pts], ctx).any(), (
+        "tangent hyperplane misses its point"
+    )
+    return covs
+
+
 def tangent_hyperplane(f, P):
     """The hyperplane x -> x^T H p^(q) at a variety point P; contains P."""
-    if not contains(f, P):
-        raise NotOnVariety(f"point {P.coords} is not on the variety")
+    cov = tangent_hyperplanes(f, np.array([P.coords], dtype=np.uint8))[0]
+    return Hyperplane(tuple(int(x) for x in cov))
+
+
+def classify_hyperplanes(f, covs):
+    """Batch classify_hyperplane over the rows of a covector array: the
+    tangent mask and the normalized witness points, one row per covector.
+
+    The witness of covector a is P = (H^{-1} a^T)^(q); the hyperplane is
+    tangent iff P lies on the variety, and then the tangent hyperplane at P
+    must reproduce a."""
     ctx = f.ctx
-    pq = [ctx.frobenius(x) for x in P.coords]
-    cov = []
-    for row in f.matrix:
-        s = 0
-        for hij, vj in zip(row, pq):
-            if hij and vj:
-                s = ctx.add(s, ctx.mul(hij, vj))
-        cov.append(s)
-    h = Hyperplane(normalize(cov, ctx))
-    assert ctx.dot(h.covector, P.coords) == 0
-    return h
+    if rank(f) != f.n + 1:
+        raise Degenerate("classification needs a non-degenerate form")
+    witness = normalize_rows(ctx.vfrob(_matvec(_inverse_matrix(f), covs, ctx)), ctx)
+    tangent = eval_form_at(f, witness) == 0
+    assert np.array_equal(
+        _polar_covectors(f, witness[tangent]), normalize_rows(covs[tangent], ctx)
+    ), "tangency witness does not reproduce the hyperplane"
+    return tangent, witness
 
 
 def classify_hyperplane(f, hyp):
@@ -326,25 +366,11 @@ def classify_hyperplane(f, hyp):
     the variety the hyperplane is its tangent there, otherwise the hyperplane
     is the polar of the external point P.
     """
-    ctx = f.ctx
-    if rank(f) != f.n + 1:
-        raise Degenerate("classification needs a non-degenerate form")
-    Hinv = _inverse_matrix(f)
-    a = hyp.covector
-    p = []
-    for row in Hinv:
-        s = 0
-        for hij, aj in zip(row, a):
-            if hij and aj:
-                s = ctx.add(s, ctx.mul(hij, aj))
-        p.append(ctx.frobenius(s))
-    witness = ProjPoint(normalize(p, ctx))
-    if contains(f, witness):
-        assert tangent_hyperplane(f, witness) == Hyperplane(
-            normalize(a, ctx)
-        ), "tangency witness does not reproduce the hyperplane"
-        return TangencyReport("tangent", witness)
-    return TangencyReport("non_tangent", witness)
+    tangent, witness = classify_hyperplanes(
+        f, np.array([hyp.covector], dtype=np.uint8)
+    )
+    kind = "tangent" if tangent[0] else "non_tangent"
+    return TangencyReport(kind, ProjPoint(tuple(int(x) for x in witness[0])))
 
 
 def restrict(f, subspace):

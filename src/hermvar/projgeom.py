@@ -61,6 +61,15 @@ def normalize(vec, ctx):
     raise ValueError("zero vector has no projective class")
 
 
+def normalize_rows(vecs, ctx):
+    """Vectorized normalize over the rows of an index array; raises
+    ValueError on a zero row."""
+    lead = vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)]
+    if not lead.all():
+        raise ValueError("zero vector has no projective class")
+    return ctx.mul_table[ctx.inv_table[lead][:, None], vecs]
+
+
 def num_points(n, q):
     """|P^n(F_{q^2})| = (q^(2(n+1)) - 1) / (q^2 - 1)."""
     Q = q * q
@@ -117,15 +126,25 @@ def point_array(n, ctx):
 
 
 def incidence_blocks(covs, pts, ctx):
-    """Point-on-hyperplane incidence in row blocks of about 4 M entries:
+    """Point-on-hyperplane incidence in row blocks of about 500 k entries:
     yields (a, b, block) with block[i, p] True iff point pts[p] lies on the
-    hyperplane covs[a + i]."""
-    blk = max(1, 4_000_000 // len(pts))
+    hyperplane covs[a + i].
+
+    Each coordinate's products come from one (Q, |pts|) table of c * pts[:, j]
+    over every field element c, so a step is a row gather plus one addition
+    table lookup."""
+    Q = ctx.order
+    tabs = [ctx.mul_table[:, pts[:, j]] for j in range(pts.shape[1])]
+    add = ctx.add_table.ravel()
+    blk = max(1, 500_000 // len(pts))
     for a in range(0, len(covs), blk):
         b = min(a + blk, len(covs))
-        acc = np.zeros((b - a, len(pts)), dtype=np.uint8)
-        for j in range(pts.shape[1]):
-            acc = ctx.vadd(acc, ctx.vmul(covs[a:b, j][:, None], pts[None, :, j]))
+        acc = tabs[0][covs[a:b, 0]]
+        for j in range(1, pts.shape[1]):
+            idx = acc.astype(np.intp)
+            idx *= Q
+            idx += tabs[j][covs[a:b, j]]
+            acc = add.take(idx)
         yield a, b, acc == 0
 
 

@@ -4,9 +4,10 @@ The exhaustive triple search walks every unordered triple of hyperplanes.
 Counts are assembled from memoized section data: per-hyperplane section
 counts (from tangency classification), per-pair section counts keyed by the
 common codimension-2 subspace, and triple terms from a dense
-plane-x-hyperplane incidence table.  Variety membership is precomputed once
-as a dense mask over the canonical point order so that the enumeration
-cross-check is a masked popcount.
+plane-x-hyperplane incidence table.  The enumeration cross-checks read one
+incidence matrix Z of every hyperplane with the points of the variety only
+(about 1/q of P^n), bit-packed along the points, so a section count is a
+popcount of a row, or of the AND / OR of a few rows.
 
 Codimension-2 subspaces are enumerated directly as reduced-row-echelon dual
 lines (two-row RREF matrices of covectors), which visits every pencil
@@ -34,16 +35,14 @@ from .cubics import (
 from .errors import BudgetExceeded
 from .hermitian import (
     DEFAULT_POINT_BUDGET,
-    classify_hyperplane,
+    classify_hyperplanes,
     nondegenerate_count,
     standard_form,
-    tangent_hyperplane,
+    tangent_hyperplanes,
     variety_mask,
 )
 from .projgeom import (
     Hyperplane,
-    ProjPoint,
-    enumerate_points,
     incidence_blocks,
     num_points,
     point_array,
@@ -67,12 +66,16 @@ def gaussian_binomial(m, k, Q):
 # -- shared geometry --------------------------------------------------------
 
 
-def incidence_zero_matrix(n, ctx):
-    """Z[i, p] = True iff point p lies on hyperplane i (canonical orders)."""
+def incidence_zero_matrix(n, ctx, u):
+    """Bit-packed incidence of every hyperplane with the points pts[u]:
+    row i, unpacked with np.unpackbits, is True at column c iff the c-th
+    point of pts[u] lies on hyperplane i (canonical orders); the padding
+    bits are 0."""
     pts = point_array(n, ctx)
-    Z = np.empty((len(pts), len(pts)), dtype=bool)
-    for a, b, block in incidence_blocks(pts, pts, ctx):
-        Z[a:b] = block
+    upts = pts[u]
+    Z = np.empty((len(pts), (len(upts) + 7) // 8), dtype=np.uint8)
+    for a, b, block in incidence_blocks(pts, upts, ctx):
+        Z[a:b] = np.packbits(block, axis=1)
     return Z
 
 
@@ -110,11 +113,8 @@ def dual_line_catalog(n, ctx):
 
 def hyperplane_tangency(n, q):
     """Tangency kind of every canonical hyperplane of P^n (standard form)."""
-    f = standard_form(n, _ctx(q))
-    kinds = np.empty(num_points(n, q), dtype=bool)  # True = tangent
-    for i, P in enumerate(enumerate_points(n, _ctx(q))):
-        kinds[i] = classify_hyperplane(f, Hyperplane(P.coords)).kind == "tangent"
-    return kinds
+    ctx = _ctx(q)
+    return classify_hyperplanes(standard_form(n, ctx), point_array(n, ctx))[0]
 
 
 def _ctx(q):
@@ -128,7 +128,7 @@ class _Geometry:
     n: int
     q: int
     N: int
-    Z: np.ndarray  # point-on-hyperplane incidence
+    Z: np.ndarray  # bit-packed hyperplane x variety-point incidence
     u: np.ndarray  # variety membership mask over points
     tangent: np.ndarray  # per-hyperplane tangency
     S: np.ndarray  # per-hyperplane section counts (from classification)
@@ -141,25 +141,23 @@ def build_geometry(n, q, budget=DEFAULT_POINT_BUDGET):
     N = num_points(n, q)
     if N * N > budget:
         raise BudgetExceeded(N * N, budget, what="incidence entries")
-    f = standard_form(n, ctx)
-    Z = incidence_zero_matrix(n, ctx)
-    u = variety_mask(f)
+    u = variety_mask(standard_form(n, ctx))
+    Z = incidence_zero_matrix(n, ctx, u)
     tangent = hyperplane_tangency(n, q)
     tangent_count = 1 + q * q * nondegenerate_count(n - 2, q)
     S = np.where(tangent, tangent_count, nondegenerate_count(n - 1, q)).astype(
         np.int64
     )
-    # classification counts must agree with the masked popcounts, exactly
-    enum_S = (Z & u[None, :]).sum(axis=1)
+    # classification counts must agree with the enumerated popcounts, exactly
+    enum_S = np.bitwise_count(Z).sum(axis=1)
     assert np.array_equal(S, enum_S), "hyperplane section counts disagree"
     planes = dual_line_catalog(n, ctx)
     plane_count = np.empty(len(planes), dtype=np.int64)
     blk = 4096
-    Zu = Z & u[None, :]
     for a in range(0, len(planes), blk):
         b = min(a + blk, len(planes))
-        rows = Zu[planes[a:b, 0]] & Z[planes[a:b, 1]]
-        plane_count[a:b] = rows.sum(axis=1)
+        rows = Z[planes[a:b, 0]] & Z[planes[a:b, 1]]
+        plane_count[a:b] = np.bitwise_count(rows).sum(axis=1)
     return _Geometry(n, q, N, Z, u, tangent, S, planes, plane_count)
 
 
@@ -225,7 +223,6 @@ def exhaustive_triples(
         raise BudgetExceeded(
             n_planes * N, _MEMO_CELL_LIMIT, what="pair/triple memo cells"
         )
-    Zu = geo.Z & geo.u[None, :]
     # pair section count and plane id, addressed by hyperplane pair
     P = np.zeros((N, N), dtype=np.int64)
     plane_id = np.zeros((N, N), dtype=np.int32)
@@ -235,61 +232,54 @@ def exhaustive_triples(
         P[np.ix_(mem, mem)] = c
         plane_id[np.ix_(mem, mem)] = pid
     # triple term: points of each plane that lie on hyperplane k and the
-    # variety, for every (plane, k)
-    plane_ind = np.zeros((N, n_planes), dtype=np.int64)
-    for pid in range(n_planes):
-        plane_ind[:, pid] = geo.Z[geo.planes[pid, 0]] & geo.Z[geo.planes[pid, 1]]
-    Tline = (Zu.astype(np.int64) @ plane_ind).T  # (n_planes, N)
-
+    # variety, for every (plane, k), from the unpacked variety columns
+    n_u = int(geo.u.sum())
+    Zu = np.unpackbits(geo.Z, axis=1, count=n_u).astype(np.int64)
+    plane_u = np.unpackbits(
+        geo.Z[geo.planes[:, 0]] & geo.Z[geo.planes[:, 1]], axis=1, count=n_u
+    )
+    Tline = plane_u.astype(np.int64) @ Zu.T  # (n_planes, N)
     S = geo.S
+
+    def triple_count(i, j, k):
+        """|H_i u H_j u H_k meet U| by inclusion-exclusion, for i < j and
+        an index, slice or array k of third hyperplanes."""
+        return (
+            S[i] + S[j] + S[k] - P[i, j] - P[i, k] - P[j, k]
+            + Tline[plane_id[i, j], k]
+        )
+
+    def on_variety(i, j, k):
+        return np.bitwise_count(geo.Z[i] | geo.Z[j] | geo.Z[k]).sum(axis=-1)
+
+    # one pass over every pair i < j (grouped by pencil) against every k > j:
+    # the histogram, and every triple at the running maximum
     hist_size = int(3 * S.max()) + 2
     hist = np.zeros(hist_size, dtype=np.int64)
     gmax = -1
-
-    def pair_iter():
-        for pid in range(n_planes):
-            mem = np.sort(geo.planes[pid])
-            pc = int(geo.plane_count[pid])
-            for a in range(len(mem)):
-                for b in range(a + 1, len(mem)):
-                    yield pid, pc, int(mem[a]), int(mem[b]), mem[mem > mem[b]]
-
-    for pid, pc, i, j, pencil_tail in pair_iter():
-        if j + 1 >= N:
-            continue
-        base = int(S[i] + S[j]) - pc
-        counts = base + S[j + 1 :] - P[i, j + 1 :] - P[j, j + 1 :] + Tline[pid, j + 1 :]
-        if len(pencil_tail):
-            counts[pencil_tail - (j + 1)] = (
-                int(S[i] + S[j]) - 2 * pc + S[pencil_tail]
-            )
-        hist += np.bincount(counts, minlength=hist_size)
-        m = int(counts.max())
-        if m > gmax:
-            gmax = m
+    argmax = []
+    for pid in range(n_planes):
+        mem = np.sort(geo.planes[pid])
+        for a in range(len(mem)):
+            for b in range(a + 1, len(mem)):
+                i, j = int(mem[a]), int(mem[b])
+                if j + 1 >= N:
+                    continue
+                counts = triple_count(i, j, slice(j + 1, None))
+                hist += np.bincount(counts, minlength=hist_size)
+                m = int(counts.max())
+                if m > gmax:
+                    gmax, argmax = m, []
+                if m == gmax:
+                    argmax.extend(
+                        (i, j, int(k) + j + 1) for k in np.nonzero(counts == m)[0]
+                    )
 
     total_check = int(hist.sum())
     assert total_check == total, "histogram does not cover every triple"
-
-    # second pass: collect every argmax triple
-    argmax = []
-    for pid, pc, i, j, pencil_tail in pair_iter():
-        if j + 1 >= N:
-            continue
-        counts = (
-            int(S[i] + S[j])
-            - pc
-            + S[j + 1 :]
-            - P[i, j + 1 :]
-            - P[j, j + 1 :]
-            + Tline[pid, j + 1 :]
-        )
-        if len(pencil_tail):
-            counts[pencil_tail - (j + 1)] = (
-                int(S[i] + S[j]) - 2 * pc + S[pencil_tail]
-            )
-        for k in np.nonzero(counts == gmax)[0]:
-            argmax.append((i, j, int(k) + j + 1))
+    if argmax:
+        enum = on_variety(*np.array(argmax).T)
+        assert (enum == gmax).all(), "argmax re-verification by enumeration failed"
 
     f = standard_form(n, ctx)
 
@@ -299,34 +289,23 @@ def exhaustive_triples(
     structure = {}
     arr_dicts = []
     for i, j, k in argmax:
-        enum = int(np.count_nonzero((geo.Z[i] | geo.Z[j] | geo.Z[k]) & geo.u))
-        assert enum == gmax, "argmax re-verification by enumeration failed"
         arr = arrangement((hyp(i), hyp(j), hyp(k)), f)
         label = (
             f"{arr.pi_section.label}|" + ",".join(sorted(arr.tangency))
         )
         structure[label] = structure.get(label, 0) + 1
         if len(arr_dicts) < argmax_limit:
-            arr_dicts.append(arr.to_json_dict(count=enum))
+            arr_dicts.append(arr.to_json_dict(count=gmax))
 
     # sampled three-way verification: internal assembly, classification
-    # formulas, and masked popcount enumeration
+    # formulas, and bit-packed popcount enumeration
     rng = np.random.default_rng(seed)
     verified = 0
     for _ in range(verify_samples):
         i, j, k = sorted(int(x) for x in rng.choice(N, size=3, replace=False))
-        pid = int(plane_id[i, j])
-        in_pencil = k in set(int(x) for x in geo.planes[pid])
-        if in_pencil:
-            internal = int(S[i] + S[j] + S[k]) - 2 * int(geo.plane_count[pid])
-        else:
-            internal = (
-                int(S[i] + S[j] + S[k])
-                - int(P[i, j] + P[i, k] + P[j, k])
-                + int(Tline[pid, k])
-            )
+        internal = int(triple_count(i, j, k))
         rep = intersect_count_arrangement(arrangement((hyp(i), hyp(j), hyp(k)), f), f)
-        enum = int(np.count_nonzero((geo.Z[i] | geo.Z[j] | geo.Z[k]) & geo.u))
+        enum = int(on_variety(i, j, k))
         assert internal == rep.count == enum, (
             f"triple count mismatch at {(i, j, k)}: "
             f"{internal} / {rep.count} / {enum}"
@@ -395,23 +374,12 @@ def pencil_triples_scan(n, q, budget=DEFAULT_POINT_BUDGET):
     like N^2, not N^3).
     """
     geo = build_geometry(n, q, budget=budget)
-    u_count, cone0, cone1 = cone_counts(n, q)
-    label_of = {u_count: "U", cone0: "Pi0U", cone1: "Pi1U"}
     S_members = geo.S[geo.planes]  # (n_planes, q^2+1)
-    top3 = np.sort(S_members, axis=1)[:, -3:].sum(axis=1)
+    top3 = np.partition(S_members, -3, axis=1)[:, -3:].sum(axis=1)
     best_per_plane = top3 - 2 * geo.plane_count
     best = int(best_per_plane.max())
     tmem = geo.tangent[geo.planes].sum(axis=1)  # tangent members per pencil
-    structures = {}
-    for pid in np.nonzero(best_per_plane == best)[0]:
-        pc = int(geo.plane_count[pid])
-        t = int(tmem[pid])
-        structures_key = f"{label_of[pc]}|tangent_members={t}"
-        structures[structures_key] = structures.get(structures_key, 0) + 1
-    tangent_by_section = {}
-    for pc, t in zip(geo.plane_count, tmem):
-        key = f"{label_of[int(pc)]}|tangent_members={int(t)}"
-        tangent_by_section[key] = tangent_by_section.get(key, 0) + 1
+    is_best = best_per_plane == best
     mf = max_cubic_intersection(n, q)
     return PencilScanReport(
         n=n,
@@ -420,26 +388,26 @@ def pencil_triples_scan(n, q, budget=DEFAULT_POINT_BUDGET):
         best_count=best,
         max_formula_value=mf,
         best_is_formula_max=bool(best == mf),
-        best_structures=structures,
-        tangent_members_by_section=tangent_by_section,
+        best_structures=_section_profile(
+            geo.plane_count[is_best], tmem[is_best], n, q
+        ),
+        tangent_members_by_section=_section_profile(geo.plane_count, tmem, n, q),
     )
 
 
-def pairwise_section_scan(n, q, budget=DEFAULT_POINT_BUDGET):
-    """Exhaustive pairwise-section audit over every hyperplane pair, grouped
-    by pencil: for each codimension-2 subspace, the section count and the
-    tangent/non-tangent split of its pencil members.
-
-    Returns (geometry, per-plane tangent member counts); the standing
-    exclusions are:
-      * a section of line-vertex shape forbids pairs with a non-tangent
-        member (so at most one non-tangent hyperplane in that pencil);
-      * a section of point-vertex shape forbids tangent-tangent pairs (at
-        most one tangent member).
-    """
-    geo = build_geometry(n, q, budget=budget)
-    tmem = geo.tangent[geo.planes].sum(axis=1)
-    return geo, tmem
+def _section_profile(plane_count, tmem, n, q):
+    """Pencils counted by section shape and number of tangent members, keyed
+    "<shape>|tangent_members=<t>"."""
+    u_count, cone0, cone1 = cone_counts(n, q)
+    label_of = {u_count: "U", cone0: "Pi0U", cone1: "Pi1U"}
+    width = q * q + 2  # tangent member counts run over 0 .. q^2+1
+    bins = np.bincount(plane_count * width + tmem)
+    profile = {}
+    for key in np.nonzero(bins)[0]:
+        pc, t = divmod(int(key), width)
+        label = f"{label_of[pc]}|tangent_members={t}"
+        profile[label] = profile.get(label, 0) + int(bins[key])
+    return profile
 
 
 # -- incidence double counting -------------------------------------------------
@@ -491,22 +459,17 @@ def incidence_double_count(n, q, budget=DEFAULT_POINT_BUDGET):
     if N * N > budget:
         raise BudgetExceeded(N * N, budget, what="incidence entries")
     f = standard_form(n, ctx)
-    geo_Z = incidence_zero_matrix(n, ctx)
     u = variety_mask(f)
-    upts_idx = np.nonzero(u)[0]
-    pts = point_array(n, ctx)
-    upts = pts[upts_idx]
+    Z = incidence_zero_matrix(n, ctx, u)
+    upts = point_array(n, ctx)[u]
+    nU = len(upts)
     # tangent covectors, one per variety point
-    covs = []
-    for row in upts:
-        covs.append(
-            tangent_hyperplane(f, ProjPoint(tuple(int(x) for x in row))).covector
-        )
-    assert len(set(covs)) == len(covs), "tangent map must be injective"
-    cov_arr = np.array(covs, dtype=np.uint8)
+    cov_arr = tangent_hyperplanes(f, upts)
+    assert len(np.unique(point_rank_array(cov_arr, ctx))) == nU, (
+        "tangent map must be injective"
+    )
     # tangency incidence among variety points: T[a, b] = 1 iff point b lies
     # on the tangent hyperplane at point a
-    nU = len(upts)
     tangent_through = np.zeros(nU, dtype=np.int64)
     for _, _, block in incidence_blocks(cov_arr, upts, ctx):
         tangent_through += block.sum(axis=0)
@@ -515,10 +478,10 @@ def incidence_double_count(n, q, budget=DEFAULT_POINT_BUDGET):
     # hyperplane side
     kinds = hyperplane_tangency(n, q)
     n_tangent = int(kinds.sum())
-    hyps_through = geo_Z[:, upts_idx].sum(axis=0)
+    hyps_through = np.unpackbits(Z, axis=1, count=nU).sum(axis=0, dtype=np.int64)
     assert (hyps_through == hyps_through[0]).all()
     left = int(((hyps_through - tangent_through)).sum())
-    right = int((geo_Z[~kinds][:, upts_idx].sum(axis=1)).sum())
+    right = int(np.bitwise_count(Z[~kinds]).sum(dtype=np.int64))
     return IncidenceReport(
         n=n,
         q=q,

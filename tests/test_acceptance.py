@@ -46,9 +46,9 @@ from hermvar.hermitian import (
 )
 from hermvar.projgeom import random_subspace, subspace_point_array
 from hermvar.search import (
+    build_geometry,
     exhaustive_triples,
     incidence_double_count,
-    pairwise_section_scan,
     pencil_triples_scan,
     random_cubic_sample,
 )
@@ -226,7 +226,8 @@ def test_criterion_7_random_cubics_q7():
 def test_criterion_8_pairwise_exclusions(n, q):
     from hermvar.bounds import cone_counts
 
-    geo, tangent_members = pairwise_section_scan(n, q)
+    geo = build_geometry(n, q)
+    tangent_members = geo.tangent[geo.planes].sum(axis=1)
     u_count, cone0, cone1 = cone_counts(n, q)
     assert len({u_count, cone0, cone1}) == 3
     members_total = geo.planes.shape[1]

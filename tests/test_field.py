@@ -48,6 +48,9 @@ def test_make_field_errors():
         make_field(6)
     with pytest.raises(ExceedsCap):
         make_field(16)
+    # F_289 does not fit the uint8 tables, whatever the cap
+    with pytest.raises(ExceedsCap):
+        make_field(17, cap=20)
     assert make_field(4).order == 16
 
 

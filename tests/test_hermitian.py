@@ -6,6 +6,7 @@ from hermvar.field import make_field
 from hermvar.hermitian import (
     HermitianForm,
     classify_hyperplane,
+    classify_hyperplanes,
     classify_section,
     congruence_reduce,
     contains,
@@ -21,6 +22,7 @@ from hermvar.hermitian import (
     section_count,
     standard_form,
     tangent_hyperplane,
+    tangent_hyperplanes,
     tangents_through_count,
     variety_mask,
 )
@@ -30,7 +32,11 @@ from hermvar.projgeom import (
     enumerate_hyperplanes,
     enumerate_points,
     intersect_hyperplanes,
+    matrix_rank,
+    normalize,
     num_points,
+    point_array,
+    point_rank_array,
     random_subspace,
     subspace_from_rows,
     subspace_points,
@@ -232,6 +238,62 @@ def test_classify_all_hyperplanes_n4_q2():
     kinds = [classify_hyperplane(f, h).kind for h in enumerate_hyperplanes(4, ctx)]
     assert kinds.count("tangent") == 165
     assert kinds.count("non_tangent") == 176
+
+
+def congruent_form(n, ctx, seed):
+    """A A^(q)T for a seeded random invertible A: a non-degenerate form
+    congruent to the standard one, with nonzero off-diagonal entries."""
+    rng = np.random.default_rng(seed)
+    f = standard_form(n, ctx)
+    while True:
+        A = [tuple(int(x) for x in r) for r in rng.integers(0, ctx.order, (n + 1, n + 1))]
+        if matrix_rank(A, ctx) == n + 1:
+            H = tuple(tuple(gram(f, a, b) for b in A) for a in A)
+            if any(H[i][j] for i in range(n + 1) for j in range(n + 1) if i != j):
+                return HermitianForm(H, n, ctx)
+
+
+@pytest.mark.parametrize("n,q", [(3, 2), (4, 2), (3, 3)])
+def test_batch_tangency_general_form_matches_enumeration(n, q):
+    ctx = make_field(q)
+    f = congruent_form(n, ctx, seed=10 * n + q)
+    assert rank(f) == n + 1
+    hyps = list(enumerate_points(n, ctx))
+    on = [P.coords for P in hyps if contains(f, P)]
+    assert len(on) == nondegenerate_count(n, q)
+    tangent, witness = classify_hyperplanes(f, point_array(n, ctx))
+    # enumerated rule: tangent iff the section has 1 + q^2 |U_{n-2}| points
+    section = np.array([sum(ctx.dot(H.coords, p) == 0 for p in on) for H in hyps])
+    tangent_count = 1 + q * q * nondegenerate_count(n - 2, q)
+    assert np.array_equal(tangent, section == tangent_count)
+    assert set(section.tolist()) == {tangent_count, nondegenerate_count(n - 1, q)}
+    # the tangent hyperplanes at the variety points are the tangent rows, once each
+    covs = tangent_hyperplanes(f, np.array(on, dtype=np.uint8))
+    ranks = point_rank_array(covs, ctx)
+    assert len(set(ranks.tolist())) == len(on)
+    assert set(ranks.tolist()) == set(np.nonzero(tangent)[0].tolist())
+    # the scalar call is the batch's row
+    for i in range(0, len(hyps), max(1, len(hyps) // 40)):
+        rep = classify_hyperplane(f, Hyperplane(hyps[i].coords))
+        assert (rep.kind == "tangent") == bool(tangent[i])
+        assert rep.witness.coords == tuple(int(x) for x in witness[i])
+        assert contains(f, rep.witness) == bool(tangent[i])
+
+
+@pytest.mark.parametrize("n,q", [(4, 2), (3, 3)])
+def test_batch_tangent_covectors_match_scalar(n, q):
+    ctx = make_field(q)
+    f = standard_form(n, ctx)
+    upts = point_array(n, ctx)[variety_mask(f)]
+    covs = tangent_hyperplanes(f, upts)
+    basis = [tuple(int(i == j) for j in range(n + 1)) for i in range(n + 1)]
+    for row, cov in zip(upts, covs):
+        P = ProjPoint(tuple(int(x) for x in row))
+        # coordinate i of H p^(q) is e_i^T H p^(q)
+        want = normalize([gram(f, e, P.coords) for e in basis], ctx)
+        assert tuple(int(x) for x in cov) == want == tangent_hyperplane(f, P).covector
+    with pytest.raises(NotOnVariety):
+        tangent_hyperplanes(f, np.vstack([upts[:2], np.eye(1, n + 1, dtype=np.uint8)]))
 
 
 def test_restrict():

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -7,14 +8,17 @@ import pytest
 from hermvar.bounds import cone_counts
 from hermvar.errors import BudgetExceeded
 from hermvar.field import make_field
+from hermvar.hermitian import contains, nondegenerate_count, standard_form, variety_mask
+from hermvar.projgeom import enumerate_points, num_points
 from hermvar.search import (
     build_geometry,
     dual_line_catalog,
     exhaustive_triples,
     gaussian_binomial,
     histogram_csv,
+    hyperplane_tangency,
     incidence_double_count,
-    pairwise_section_scan,
+    incidence_zero_matrix,
     pencil_triples_scan,
     random_cubic_sample,
     report_json,
@@ -38,6 +42,41 @@ def test_dual_line_catalog_small():
     assert (counts == 5).all()
     for row in cat:
         assert len(set(int(x) for x in row)) == 5
+
+
+GRIDS = [(3, 2), (4, 2), (3, 3), (5, 2)]
+
+
+@functools.lru_cache(maxsize=None)
+def scalar_incidence(n, q):
+    """[hyperplane, variety point] -> ctx.dot(cov, pt) == 0, by scalar loops
+    over the canonical orders (variety membership by scalar evaluation)."""
+    ctx = make_field(q)
+    f = standard_form(n, ctx)
+    pts = list(enumerate_points(n, ctx))
+    on = [P.coords for P in pts if contains(f, P)]
+    return np.array([[ctx.dot(H.coords, p) == 0 for p in on] for H in pts])
+
+
+@pytest.mark.parametrize("n,q", GRIDS)
+def test_incidence_zero_matrix_matches_scalar_dot(n, q):
+    ctx = make_field(q)
+    Z = incidence_zero_matrix(n, ctx, variety_mask(standard_form(n, ctx)))
+    want = scalar_incidence(n, q)
+    n_u = want.shape[1]
+    assert Z.dtype == np.uint8 and Z.shape == (num_points(n, q), (n_u + 7) // 8)
+    bits = np.unpackbits(Z, axis=1).astype(bool)
+    assert np.array_equal(bits[:, :n_u], want)
+    assert not bits[:, n_u:].any()  # padding bits
+
+
+@pytest.mark.parametrize("n,q", GRIDS)
+def test_hyperplane_tangency_matches_section_counts(n, q):
+    # tangent iff the section has 1 + q^2 |U_{n-2}| points, else |U_{n-1}|
+    section = scalar_incidence(n, q).sum(axis=1)
+    tangent_count = 1 + q * q * nondegenerate_count(n - 2, q)
+    assert np.array_equal(hyperplane_tangency(n, q), section == tangent_count)
+    assert set(section.tolist()) == {tangent_count, nondegenerate_count(n - 1, q)}
 
 
 def test_build_geometry_totals():
@@ -99,7 +138,8 @@ def test_pencil_scan_4_2_reported_only():
 
 @pytest.mark.parametrize("n,q", [(4, 2)])
 def test_pairwise_exclusions(n, q):
-    geo, tangent_members = pairwise_section_scan(n, q)
+    geo = build_geometry(n, q)
+    tangent_members = geo.tangent[geo.planes].sum(axis=1)
     u_count, cone0, cone1 = cone_counts(n, q)
     members_total = geo.planes.shape[1]
     for count, t in zip(geo.plane_count, tangent_members):
