@@ -11,6 +11,7 @@ section-bound checker can exercise d = 2 as well; only the d = 3 maxima
 carry closed formulas.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -25,10 +26,10 @@ from .errors import (
 )
 from .hermitian import (
     DEFAULT_POINT_BUDGET,
-    _CHUNK,
     classify_hyperplane,
     classify_hyperplanes,
     classify_section,
+    count_zeros_enum,
     eval_form_at,
     nondegenerate_count,
     section_count,
@@ -153,24 +154,37 @@ def evaluate_poly(C, coords, ctx):
     return acc
 
 
-def _monomial_column(exp, pts, ctx):
-    """Values of the monic monomial x^exp at each row of a point-index
-    array (exp has positive degree)."""
-    col = None
-    for i, e in enumerate(exp):
-        for _ in range(e):
-            col = pts[:, i] if col is None else ctx.vmul(col, pts[:, i])
-    return col
+def _horner(terms, cols, ctx):
+    """Values of sum(c * x^exp) over the (exp, c) terms, all of one positive
+    degree, with cols[i] holding x_i at each point.
+
+    Above degree 1 the terms are grouped by their first variable x_i and the
+    sum is x_i * (that group with one x_i removed), so a shared prefix is
+    multiplied once; degree-1 terms are a linear form."""
+    acc = None
+    if sum(terms[0][0]) == 1:
+        for exp, c in terms:
+            col = cols[exp.index(1)]
+            t = col if c == 1 else ctx.vscale(c, col)
+            acc = t if acc is None else ctx.vadd(acc, t)
+        return acc
+    groups = {}
+    for exp, c in terms:
+        i = next(k for k, e in enumerate(exp) if e)
+        groups.setdefault(i, []).append((exp[:i] + (exp[i] - 1,) + exp[i + 1 :], c))
+    for i, sub in groups.items():
+        t = ctx.vmul(cols[i], _horner(sub, cols, ctx))
+        acc = t if acc is None else ctx.vadd(acc, t)
+    return acc
 
 
 def eval_poly_at(C, pts, ctx):
-    """Vectorized values of the form at each row of a point-index array."""
-    acc = np.zeros(len(pts), dtype=np.uint8)
-    for exp, c in C.monomials:
-        col = _monomial_column(exp, pts, ctx)
-        term = col if c == 1 else ctx.vscale(c, col)
-        acc = ctx.vadd(acc, term)
-    return acc
+    """Vectorized values of the form at each row of a point-index array,
+    evaluated by shared prefixes (a dense quinary cubic costs 20 vmul,
+    35 vscale and 34 vadd).  intersect_count_enum passes only the rows
+    where the Hermitian form vanishes."""
+    cols = [np.ascontiguousarray(pts[:, i]) for i in range(C.n + 1)]
+    return _horner(C.monomials, cols, ctx)
 
 
 def restrict_poly(C, basis, ctx):
@@ -219,21 +233,12 @@ def restrict_poly(C, basis, ctx):
 
 
 def intersect_count_enum(C, f, budget=DEFAULT_POINT_BUDGET, workers=1):
-    """|V(C) meet V(f)| by scanning all points of P^n (chunked, vectorized)."""
-    ctx = f.ctx
-    N = num_points(f.n, ctx.q)
-    if N > budget:
-        raise BudgetExceeded(N, budget)
-    pts = point_array(f.n, ctx)
-    total = 0
-    for a in range(0, N, _CHUNK):
-        b = min(a + _CHUNK, N)
-        block = pts[a:b]
-        on_c = eval_poly_at(C, block, ctx) == 0
-        if on_c.any():
-            on_f = eval_form_at(f, block) == 0
-            total += int(np.count_nonzero(on_c & on_f))
-    return total
+    """|V(C) meet V(f)| by scanning all points of P^n (chunked, vectorized,
+    over `workers` processes for large N): the form is evaluated at every
+    point, and C, by shared prefixes, only at the form's zeros."""
+    return count_zeros_enum(
+        f, budget, workers, functools.partial(eval_poly_at, C, ctx=f.ctx)
+    )
 
 
 # -- arrangements -----------------------------------------------------------

@@ -251,12 +251,15 @@ class FieldCtx:
 
     # -- vectorized operations on index arrays -----------------------------
 
+    # The flat table index a*Q + b is built in uint16: Q <= 256 (checked in
+    # __init__), so it is at most 255*256 + 255 = 65,535.
+
     def vmul(self, a, b):
-        idx = np.asarray(a).astype(np.int32) * self.order + b
+        idx = np.asarray(a).astype(np.uint16) * self.order + b
         return self.mul_table.ravel().take(idx)
 
     def vadd(self, a, b):
-        idx = np.asarray(a).astype(np.int32) * self.order + b
+        idx = np.asarray(a).astype(np.uint16) * self.order + b
         return self.add_table.ravel().take(idx)
 
     def vscale(self, c, a):

@@ -220,7 +220,7 @@ def eval_form_at(f, pts):
     n1 = f.n + 1
     diagonal = all(H[i][j] == 0 for i in range(n1) for j in range(n1) if i != j)
     if diagonal:
-        acc = np.zeros(len(pts), dtype=np.uint8)
+        acc = None
         for i in range(n1):
             d = H[i][i]
             if d == 0:
@@ -228,7 +228,7 @@ def eval_form_at(f, pts):
             t = ctx.vnorm(pts[:, i])
             if d != 1:
                 t = ctx.vscale(d, t)
-            acc = ctx.vadd(acc, t)
+            acc = t if acc is None else ctx.vadd(acc, t)
         return acc
     frob_cols = [ctx.vfrob(pts[:, j]) for j in range(n1)]
     acc = np.zeros(len(pts), dtype=np.uint8)
@@ -246,28 +246,43 @@ def eval_form_at(f, pts):
     return acc
 
 
-def _count_range(f, start, stop):
+def _count_range(f, start, stop, poly_at):
+    """Zeros of f among the canonical points start..stop-1 of P^n, chunk by
+    chunk; when poly_at is given, only those of f's zeros (passed to it as a
+    point-index array) where poly_at's values are 0 too."""
     pts = point_array(f.n, f.ctx)
     total = 0
     for a in range(start, stop, _CHUNK):
-        b = min(a + _CHUNK, stop)
-        vals = eval_form_at(f, pts[a:b])
-        total += int(np.count_nonzero(vals == 0))
+        block = pts[a:min(a + _CHUNK, stop)]
+        on_f = eval_form_at(f, block) == 0
+        if poly_at is not None:
+            on_f = poly_at(block.compress(on_f, axis=0)) == 0
+        total += int(np.count_nonzero(on_f))
     return total
 
 
-def count_points_enum(f, budget=DEFAULT_POINT_BUDGET, workers=1):
-    """Exact |V(f)(F_{q^2})| by scanning every point of P^n."""
+def count_zeros_enum(f, budget=DEFAULT_POINT_BUDGET, workers=1, poly_at=None):
+    """Number of points of P^n where f vanishes and, when poly_at is given,
+    poly_at vanishes too, by scanning every point (the budget is checked
+    first).  f is evaluated at every point and poly_at only at f's zeros.
+    From 4 chunks up, the scan is split over `workers` forked processes;
+    poly_at must then pickle, e.g. as a functools.partial of a module-level
+    function."""
     N = num_points(f.n, f.ctx.q)
     if N > budget:
         raise BudgetExceeded(N, budget)
     if workers <= 1 or N < 4 * _CHUNK:
-        return _count_range(f, 0, N)
+        return _count_range(f, 0, N, poly_at)
     bounds = np.linspace(0, N, workers + 1, dtype=np.int64)
-    jobs = [(f, int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])]
+    jobs = [(f, int(a), int(b), poly_at) for a, b in zip(bounds[:-1], bounds[1:])]
     with multiprocessing.get_context("fork").Pool(workers) as pool:
         parts = pool.starmap(_count_range, jobs)
     return sum(parts)
+
+
+def count_points_enum(f, budget=DEFAULT_POINT_BUDGET, workers=1):
+    """Exact |V(f)(F_{q^2})| by scanning every point of P^n."""
+    return count_zeros_enum(f, budget, workers)
 
 
 def variety_mask(f, budget=DEFAULT_POINT_BUDGET):

@@ -24,7 +24,6 @@ import numpy as np
 
 from .bounds import cone_counts, cubic_bound_closed
 from .cubics import (
-    _monomial_column,
     arrangement,
     intersect_count_arrangement,
     linear_factor,
@@ -542,7 +541,11 @@ def _monomial_matrix(pts, ctx):
     exps = monomial_exponents(pts.shape[1] - 1, 3)
     M = np.empty((len(exps), len(pts)), dtype=np.uint8)
     for r, exp in enumerate(exps):
-        M[r] = _monomial_column(exp, pts, ctx)
+        col = None
+        for i, e in enumerate(exp):
+            for _ in range(e):
+                col = pts[:, i] if col is None else ctx.vmul(col, pts[:, i])
+        M[r] = col
     return exps, M
 
 

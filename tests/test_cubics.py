@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from hermvar import hermitian
 from hermvar.cubics import (
     _as_dict,
     _line_factors,
@@ -31,7 +32,14 @@ from hermvar.errors import (
     PreconditionViolated,
 )
 from hermvar.field import make_field
-from hermvar.hermitian import standard_form, variety_mask
+from hermvar.hermitian import (
+    count_points_enum,
+    evaluate,
+    nondegenerate_count,
+    padded_standard_form,
+    standard_form,
+    variety_mask,
+)
 from hermvar.projgeom import (
     Hyperplane,
     enumerate_hyperplanes,
@@ -80,14 +88,74 @@ def test_expand_product_matches_union():
         assert (evaluate_poly(C, P.coords, ctx) == 0) == on_union
 
 
+def sample_forms(n, ctx, rng):
+    """Random forms of degree 1-4, then sparse cubics: x_n^3, L^3, a product
+    of three hyperplanes and the cubic with every coefficient 1."""
+    forms = [random_hypersurface(n, d, ctx, rng) for d in (1, 2, 3, 4)]
+    L, M, K = random_triple(n, ctx, rng)
+    forms.append(make_hypersurface({(0,) * n + (3,): 1}, n, 3, ctx))
+    forms.append(expand_product((L, L, L), ctx))
+    forms.append(expand_product((L, M, K), ctx))
+    ones = dict.fromkeys(monomial_exponents(n, 3), 1)
+    forms.append(make_hypersurface(ones, n, 3, ctx))
+    return forms
+
+
 def test_eval_poly_at_matches_scalar():
+    # every point of P^n for n in {2, 3, 4} and q in {2, 3, 4} (q = 4: a
+    # non-prime field), except P^4(F_16), whose 69,905 points are too many
+    # for the scalar oracle
+    for n, q in itertools.product((2, 3, 4), (2, 3, 4)):
+        if (n, q) == (4, 4):
+            continue
+        ctx = make_field(q)
+        pts = point_array(n, ctx)
+        rows = [tuple(int(x) for x in row) for row in pts]
+        for C in sample_forms(n, ctx, np.random.default_rng(10 * n + q)):
+            vals = eval_poly_at(C, pts, ctx)
+            assert vals.dtype == np.uint8
+            want = [evaluate_poly(C, P, ctx) for P in rows]
+            assert vals.tolist() == want, (n, q, C.monomials)
+
+
+@pytest.mark.parametrize("n,q,rank", [(3, 2, 4), (3, 3, 4), (4, 2, 5), (4, 2, 3)])
+def test_intersect_count_enum_matches_scalar_scan(n, q, rank):
+    # (4, 2, 3) is the degenerate form of rank 3 in P^4: a cone with a line
+    # as vertex over U_2
+    ctx = make_field(q)
+    f = padded_standard_form(rank, n, ctx)
+    rng = np.random.default_rng(100 * n + 10 * q + rank)
+    cubics = [random_hypersurface(n, 3, ctx, rng) for _ in range(2)]
+    cubics.append(expand_product(random_triple(n, ctx, rng), ctx))
+    points = list(enumerate_points(n, ctx))
+    for C in cubics:
+        want = sum(
+            evaluate_poly(C, P.coords, ctx) == 0 and evaluate(f, P) == 0
+            for P in points
+        )
+        assert intersect_count_enum(C, f) == want, (n, q, rank, C.monomials)
+
+
+def test_intersect_count_enum_workers(monkeypatch):
+    # chunks of 100 rows make the 820 points of P^3(F_9) large enough for
+    # the pool, which must give the single-process counts
     ctx = make_field(3)
-    rng = np.random.default_rng(0)
-    C = random_hypersurface(3, 3, ctx, rng)
-    pts = point_array(3, ctx)[:400]
-    vals = eval_poly_at(C, pts, ctx)
-    for row, v in zip(pts, vals):
-        assert evaluate_poly(C, tuple(int(x) for x in row), ctx) == int(v)
+    f = standard_form(3, ctx)
+    rng = np.random.default_rng(7)
+    cubics = [random_hypersurface(3, 3, ctx, rng) for _ in range(3)]
+    one = [intersect_count_enum(C, f) for C in cubics]
+    pools = []
+    get_context = hermitian.multiprocessing.get_context
+
+    def spy(method):
+        pools.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(hermitian, "_CHUNK", 100)
+    monkeypatch.setattr(hermitian.multiprocessing, "get_context", spy)
+    assert [intersect_count_enum(C, f, workers=2) for C in cubics] == one
+    assert count_points_enum(f, workers=2) == nondegenerate_count(3, 3)
+    assert pools == ["fork"] * 4
 
 
 def test_intersect_count_enum_triple_hyperplane():
@@ -97,15 +165,17 @@ def test_intersect_count_enum_triple_hyperplane():
     f = standard_form(4, ctx)
     C = make_hypersurface({(3, 0, 0, 0, 0): 1}, 4, 3, ctx)
     assert intersect_count_enum(C, f) == 45
-    # a cubic with no common zero on the scanned set
-    none = make_hypersurface(
+    # in characteristic 2, x_0^3 + x_0^2 x_4 + x_0 x_4^2 + x_4^3 is
+    # (x_0 + x_4)^3; the hyperplane x_0 + x_4 = 0 is tangent to U_4 at q=2,
+    # since N(1) + N(1) = 0, so it meets U_4 in 1 + q^2 |U_2| = 1 + 4*9 = 37
+    # points
+    cube = make_hypersurface(
         {(3, 0, 0, 0, 0): 1, (0, 0, 0, 0, 3): 1, (1, 0, 0, 0, 2): 1, (2, 0, 0, 0, 1): 1},
         4,
         3,
         ctx,
     )
-    # V(x_0^3 + x_4^3 + ...) = V((x_0+x_4)^3) at q=2: still a hyperplane
-    assert intersect_count_enum(none, f) in (37, 45)
+    assert intersect_count_enum(cube, f) == 37
 
 
 def test_arrangement_requires_distinct():

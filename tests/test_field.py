@@ -162,6 +162,20 @@ def test_solve_norm_rejects_bad_input():
         solve_norm(ctx, non_sub)
 
 
+@pytest.mark.parametrize("q,cap", [(q, 13) for q in PRIME_POWERS] + [(16, 16)])
+def test_vector_gathers_match_tables_on_all_pairs(q, cap):
+    # vmul/vadd build the flat index a*Q + b in uint16; at q=16 (Q=256) it
+    # reaches 255*256 + 255 = 65,535, the largest uint16
+    ctx = make_field(q, cap=cap)
+    Q = ctx.order
+    a = np.repeat(np.arange(Q, dtype=np.uint8), Q)
+    b = np.tile(np.arange(Q, dtype=np.uint8), Q)
+    prod, total = ctx.vmul(a, b), ctx.vadd(a, b)
+    assert prod.dtype == total.dtype == np.uint8
+    assert np.array_equal(prod, ctx.mul_table[a, b])
+    assert np.array_equal(total, ctx.add_table[a, b])
+
+
 def test_vector_ops_match_scalar():
     ctx = make_field(3)
     rng = np.random.default_rng(5)
