@@ -21,8 +21,8 @@ print(f"  threshold asserted (q >= 7 regime): {rep.threshold_asserted}")
 again = random_cubic_sample(4, 2, trials=200, seed=7)
 print(f"  rerun identical: {again.histogram == rep.histogram}")
 
-# the q=7 run matching the verification suite takes well under a minute
-# (about 15 s with two workers on a 2-CPU machine):
-#   random_cubic_sample(4, 7, trials=200, seed=20260811, workers=2)
+# the q=7 run matching the verification suite takes a few seconds in one
+# process (about 2 s on a 2-CPU machine), all 200 cubics evaluated together:
+#   random_cubic_sample(4, 7, trials=200, seed=20260811)
 # or from the command line:
 #   hermvar search --q 7 --n 4 --mode random --trials 200 --seed 20260811

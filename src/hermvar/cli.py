@@ -327,15 +327,22 @@ def _cmd_search(args, budget, workers):
         "passed": ok,
     }
     report["_histogram"] = histogram  # consumed by csv output, not serialized
+    if args.mode == "random":
+        report["_stages"] = rep.stages  # volatile, emitted under "timestamp"
     return report, ok
 
 
 def _emit(report, args, t0):
     histogram = report.pop("_histogram", None)
+    stages = report.pop("_stages", None)
     report["timestamp"] = {
         "run_at": datetime.now(timezone.utc).isoformat(),
         "wall_time_s": round(time.time() - t0, 3),
     }
+    if stages is not None:
+        report["timestamp"]["stages"] = {
+            k: round(v, 3) if isinstance(v, float) else v for k, v in stages.items()
+        }
     text = json.dumps(report, sort_keys=True, indent=2, default=str) + "\n"
     if args.format == "csv":
         buf = io.StringIO()

@@ -370,7 +370,8 @@ def build_extremal(f, scan_limit=64):
     n = f.n
     if n < 4:
         raise OutOfRange(f"n={n} must be >= 4")
-    want = "tangent" if n % 2 else "non_tangent"
+    want_tangent = bool(n % 2)
+    want = "tangent" if want_tangent else "non_tangent"
     non_tangent = []
     seen = set()
     scanned = []
@@ -386,9 +387,10 @@ def build_extremal(f, scan_limit=64):
             if classify_section(f, sub).v != -1:
                 continue
             pencil = pencil_through(sub, ctx)
-            members = [
-                m for m in pencil if classify_hyperplane(f, m).kind == want
-            ]
+            tangent, _ = classify_hyperplanes(
+                f, np.array([m.covector for m in pencil], dtype=np.uint8)
+            )
+            members = [m for m, t in zip(pencil, tangent) if t == want_tangent]
             if len(members) >= 3:
                 return arrangement(tuple(members[:3]), f)
             scanned.append(len(members))

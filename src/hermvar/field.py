@@ -182,6 +182,15 @@ class FieldCtx:
         frob[nz] = exp[(self.q * log[nz]) % (Q - 1)].astype(np.uint8)
         self.frob_table = frob
 
+        # F_{q^2} as the F_p-space of digit vectors: digit_table[j, a] is the
+        # j-th base-p digit of a, and multiplying by c is the matrix
+        # mul_matrices[c], whose column j holds the digits of c * p^j
+        self.ndigits = m
+        self.digit_table = digits.T.astype(np.uint8)
+        self.mul_matrices = (
+            digits[mul[:, weights]].transpose(0, 2, 1).astype(np.uint8)
+        )
+
         ar = np.arange(Q)
         self.norm_table = self.mul_table[ar, frob[ar]]
         self.trace_table = self.add_table[ar, frob[ar]]
@@ -271,6 +280,16 @@ class FieldCtx:
 
     def vnorm(self, a):
         return self.norm_table.take(a)
+
+    def digit_planes(self, a, dtype=np.float32):
+        """Base-p digits of the index array a, one plane per digit: an array
+        of shape (ndigits,) + a.shape with a = sum(out[j] * p^j)."""
+        a = np.asarray(a)
+        out = np.empty((self.ndigits,) + a.shape, dtype=dtype)
+        for j, plane in enumerate(self.digit_table.astype(dtype)):
+            # mode="clip" skips the bounds check; field indices are in range
+            plane.take(a, out=out[j], mode="clip")
+        return out
 
     def __repr__(self):
         return f"FieldCtx(q={self.q})"

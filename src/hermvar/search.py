@@ -16,9 +16,8 @@ exactly once without deduplication.
 
 import json
 import math
-import multiprocessing
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,9 +26,9 @@ from .cubics import (
     arrangement,
     intersect_count_arrangement,
     linear_factor,
-    make_hypersurface,
     max_cubic_intersection,
     monomial_exponents,
+    random_hypersurface,
 )
 from .errors import BudgetExceeded
 from .hermitian import (
@@ -50,6 +49,7 @@ from .projgeom import (
 )
 
 _MEMO_CELL_LIMIT = 50_000_000  # plane x hyperplane table entries
+_EVAL_CHUNK_BYTES = 16 << 20  # working set of one random-cubic point chunk
 
 
 def gaussian_binomial(m, k, Q):
@@ -181,23 +181,7 @@ class SearchReport:
     wall_time_s: float
 
     def to_json_dict(self):
-        return {
-            "schema": 1,
-            "kind": "triple_search",
-            "n": self.n,
-            "q": self.q,
-            "seed": self.seed,
-            "total_triples": self.total_triples,
-            "global_max": self.global_max,
-            "max_formula_value": self.max_formula_value,
-            "reaches_formula_max": self.reaches_formula_max,
-            "histogram": [[int(v), int(c)] for v, c in sorted(self.histogram.items())],
-            "argmax_total": self.argmax_total,
-            "argmax_arrangements": self.argmax_arrangements,
-            "argmax_structure": dict(sorted(self.argmax_structure.items())),
-            "samples_verified": self.samples_verified,
-            "method_mix": self.method_mix,
-        }
+        return _json_fields(self, "triple_search")
 
 
 def exhaustive_triples(
@@ -348,20 +332,7 @@ class PencilScanReport:
     tangent_members_by_section: dict
 
     def to_json_dict(self):
-        return {
-            "schema": 1,
-            "kind": "pencil_scan",
-            "n": self.n,
-            "q": self.q,
-            "pencils": self.pencils,
-            "best_count": self.best_count,
-            "max_formula_value": self.max_formula_value,
-            "best_is_formula_max": self.best_is_formula_max,
-            "best_structures": dict(sorted(self.best_structures.items())),
-            "tangent_members_by_section": dict(
-                sorted(self.tangent_members_by_section.items())
-            ),
-        }
+        return _json_fields(self, "pencil_scan")
 
 
 def pencil_triples_scan(n, q, budget=DEFAULT_POINT_BUDGET):
@@ -427,21 +398,7 @@ class IncidenceReport:
     incidence_right: int
 
     def to_json_dict(self):
-        return {
-            "schema": 1,
-            "kind": "incidence",
-            "n": self.n,
-            "q": self.q,
-            "variety_points": self.variety_points,
-            "hyperplanes_total": self.hyperplanes_total,
-            "tangent_hyperplanes": self.tangent_hyperplanes,
-            "non_tangent_hyperplanes": self.non_tangent_hyperplanes,
-            "hyperplanes_through_point": self.hyperplanes_through_point,
-            "point_tangent_count": self.point_tangent_count,
-            "tangent_count_uniform": self.tangent_count_uniform,
-            "incidence_left": self.incidence_left,
-            "incidence_right": self.incidence_right,
-        }
+        return _json_fields(self, "incidence")
 
 
 def incidence_double_count(n, q, budget=DEFAULT_POINT_BUDGET):
@@ -513,71 +470,80 @@ class RandomCubicReport:
     max_count: int
     threshold_asserted: bool  # the q >= 7 regime where exceedance is failure
     wall_time_s: float
+    stages: dict  # stage wall times and work counts, not serialized
 
     def to_json_dict(self):
-        return {
-            "schema": 1,
-            "kind": "random_cubics",
-            "n": self.n,
-            "q": self.q,
-            "trials": self.trials,
-            "seed": self.seed,
-            "threshold": self.threshold,
-            "histogram": [[int(v), int(c)] for v, c in sorted(self.histogram.items())],
-            "retained": self.retained,
-            "discarded_divisible": self.discarded_divisible,
-            "exceedances": self.exceedances,
-            "max_count": self.max_count,
-            "threshold_asserted": self.threshold_asserted,
-        }
+        return _json_fields(self, "random_cubics")
 
 
-_RC_STATE = {}
-
-
-def _monomial_matrix(pts, ctx):
-    """Rows of monomial values at the given points, one row per degree-3
-    exponent tuple (descending graded-lex)."""
-    exps = monomial_exponents(pts.shape[1] - 1, 3)
-    M = np.empty((len(exps), len(pts)), dtype=np.uint8)
+def _monomial_rows(pts, exps, ctx):
+    """Values of the cubic monomials exps at the rows of pts, one row per
+    monomial, by shared prefixes: each quadratic x_a x_b once, each cubic
+    as one quadratic times one variable."""
+    cols = [np.ascontiguousarray(pts[:, i]) for i in range(pts.shape[1])]
+    rows = np.empty((len(exps), len(pts)), dtype=np.uint8)
+    quads = {}
     for r, exp in enumerate(exps):
-        col = None
-        for i, e in enumerate(exp):
-            for _ in range(e):
-                col = pts[:, i] if col is None else ctx.vmul(col, pts[:, i])
-        M[r] = col
-    return exps, M
+        a, b, c = (i for i, e in enumerate(exp) for _ in range(e))
+        if (a, b) not in quads:
+            quads[a, b] = ctx.vmul(cols[a], cols[b])
+        rows[r] = ctx.vmul(quads[a, b], cols[c])
+    return rows
 
 
-def _cubic_trial(t):
-    """One seeded trial; reads the fork-shared state."""
-    st = _RC_STATE
-    ctx = st["ctx"]
-    n = st["n"]
-    exps = st["exps"]
-    rng = np.random.default_rng(np.random.SeedSequence((st["seed"], t)))
-    while True:
-        cs = rng.integers(0, ctx.order, size=len(exps))
-        if cs.any():
-            break
-    C = make_hypersurface(
-        {e: int(c) for e, c in zip(exps, cs)}, n, 3, ctx
-    )
-    lf = linear_factor(C, ctx)
-    if lf is not None:
-        return (t, "divisible", list(lf.covector), None)
-    M = st["M"]
-    acc = np.zeros(M.shape[1], dtype=np.uint8)
-    coeff = dict(C.monomials)
-    for r, exp in enumerate(exps):
-        c = coeff.get(exp, 0)
-        if c == 0:
-            continue
-        term = M[r] if c == 1 else ctx.vscale(c, M[r])
-        acc = ctx.vadd(acc, term)
-    count = int(np.count_nonzero(acc == 0))
-    mono = [[list(e), int(c)] for e, c in C.monomials]
-    return (t, "counted", count, mono)
+def _value_digits(polys, pts, ctx):
+    """Digits of every cubic's values at the rows of pts, all cubics at
+    once: yields, one chunk of points at a time, a float32 array Y of shape
+    (cubics, m, points) whose entry Y[t, j, k] is, mod p, digit j of cubic
+    t's value at point k of the chunk.
+
+    Multiplying by a constant is an m x m matrix over F_p on base-p digit
+    vectors (ctx.mul_matrices), so the digits are A @ D mod p.  A has one
+    row block per cubic and one column block per monomial, D the digit
+    planes of the monomial values at the chunk's points.  The product runs
+    in float32 and is exact while every sum, at most R m (p-1)^2 for R
+    monomials, stays below 2^24.  A chunk's arrays take about
+    _EVAL_CHUNK_BYTES at most, and at most R bytes per point of pts, the
+    size of a matrix of every monomial's value at every point."""
+    p, m = ctx.p, ctx.ndigits
+    exps = monomial_exponents(polys[0].n, 3)
+    R, T = len(exps), len(polys)
+    assert R * m * (p - 1) ** 2 < 2**24, "float32 sums would not be exact"
+    coef = np.zeros((T, R), dtype=np.uint8)
+    col = {e: r for r, e in enumerate(exps)}
+    for t, C in enumerate(polys):
+        for e, c in C.monomials:
+            coef[t, col[e]] = c
+    # A[t*m + i, j*R + r]: digit i of coefficient r of cubic t times p^j
+    A = ctx.mul_matrices[coef].transpose(0, 2, 3, 1).reshape(T * m, m * R)
+    A = A.astype(np.float32)
+    # bytes per point: monomials, digit planes, product, its rounding, mask
+    per_point = 2 * R + 4 * m * R + 9 * T * m
+    chunk = max(1, min(R * len(pts), _EVAL_CHUNK_BYTES) // per_point)
+    for a in range(0, len(pts), chunk):
+        D = ctx.digit_planes(_monomial_rows(pts[a : a + chunk], exps, ctx))
+        yield (A @ D.reshape(m * R, -1)).reshape(T, m, -1)
+
+
+def _zero_counts(polys, pts, ctx):
+    """Zeros of each cubic among the rows of pts, and the number of point
+    chunks they were evaluated in."""
+    p = ctx.p
+    counts = np.zeros(len(polys), dtype=np.int64)
+    chunks = 0
+    for Y in _value_digits(polys, pts, ctx):
+        # in float32, an integer y < 2^24 is a multiple of p iff
+        # p * rint(y / p) == y
+        Z = Y / p
+        np.rint(Z, out=Z)
+        Z *= p
+        digit_zero = Z == Y
+        zero = digit_zero[:, 0]
+        for j in range(1, ctx.ndigits):
+            zero &= digit_zero[:, j]
+        counts += np.count_nonzero(zero, axis=1)
+        chunks += 1
+    return counts, chunks
 
 
 def random_cubic_sample(
@@ -588,39 +554,43 @@ def random_cubic_sample(
     cubic-split threshold.  Exceedances at q >= 7 are counterexample
     candidates and carry the full polynomial.
 
-    Each cubic is evaluated on the points of U_n only (about 1/q of P^n),
-    through a monomial matrix built once over them and shared with forked
-    workers; the matrix is released when the call returns."""
+    Trial t draws its cubic from the seed sequence (seed, t).  Every
+    retained cubic is then evaluated on the points of U_n only (about 1/q
+    of P^n), all of them together, in one F_p matrix product per chunk of
+    points (see _zero_counts).  The call runs in one process; `workers` is
+    accepted and ignored.  The report's `stages` holds the wall time of the
+    linear-factor screen, the variety mask and the evaluation, and the
+    counts of points evaluated, trials batched and chunks."""
     t0 = time.time()
     ctx = _ctx(q)
     N = num_points(n, q)
     if N > budget:
         raise BudgetExceeded(N, budget)
-    f = standard_form(n, ctx)
-    exps, M = _monomial_matrix(point_array(n, ctx)[variety_mask(f)], ctx)
-    _RC_STATE.update({"ctx": ctx, "n": n, "exps": exps, "M": M, "seed": seed})
-    try:
-        if workers > 1:
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                results = pool.map(_cubic_trial, range(trials), chunksize=1)
+    kept, discarded = {}, []
+    for t in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, t)))
+        C = random_hypersurface(n, 3, ctx, rng)
+        lf = linear_factor(C, ctx)
+        if lf is None:
+            kept[t] = C
         else:
-            results = [_cubic_trial(t) for t in range(trials)]
-    finally:
-        _RC_STATE.clear()
-    results.sort(key=lambda r: r[0])
+            discarded.append({"trial": t, "linear_factor": list(lf.covector)})
+    t1 = t2 = time.time()
+    counts, chunks, points = [], 0, 0
+    if kept:
+        upts = point_array(n, ctx)[variety_mask(standard_form(n, ctx))]
+        t2 = time.time()
+        counts, chunks = _zero_counts(list(kept.values()), upts, ctx)
+        points = len(upts)
+    t3 = time.time()
     threshold = cubic_bound_closed(n, q)
     hist = {}
-    discarded = []
     exceed = []
-    max_count = -1
-    for t, kind, payload, mono in results:
-        if kind == "divisible":
-            discarded.append({"trial": t, "linear_factor": payload})
-            continue
-        count = payload
+    for (t, C), count in zip(kept.items(), counts):
+        count = int(count)
         hist[count] = hist.get(count, 0) + 1
-        max_count = max(max_count, count)
         if count > threshold:
+            mono = [[list(e), int(c)] for e, c in C.monomials]
             exceed.append({"trial": t, "count": count, "monomials": mono})
     return RandomCubicReport(
         n=n,
@@ -629,16 +599,35 @@ def random_cubic_sample(
         seed=seed,
         threshold=threshold,
         histogram=hist,
-        retained=trials - len(discarded),
+        retained=len(kept),
         discarded_divisible=discarded,
         exceedances=exceed,
-        max_count=max_count,
+        max_count=max(hist, default=-1),
         threshold_asserted=q >= 7,
-        wall_time_s=time.time() - t0,
+        wall_time_s=t3 - t0,
+        stages={
+            "screen_s": t1 - t0,
+            "mask_s": t2 - t1,
+            "eval_s": t3 - t2,
+            "points": points,
+            "trials_batched": len(kept),
+            "chunks": chunks,
+        },
     )
 
 
 # -- serialization ---------------------------------------------------------------
+
+
+def _json_fields(report, kind):
+    """A report as JSON-ready data: schema and kind, then every field but
+    the volatile wall time and stages, the histogram as sorted pairs."""
+    d = {"schema": 1, "kind": kind, **asdict(report)}
+    d.pop("wall_time_s", None)
+    d.pop("stages", None)
+    if "histogram" in d:
+        d["histogram"] = [[int(v), int(c)] for v, c in sorted(report.histogram.items())]
+    return d
 
 
 def report_json(report, path=None):

@@ -114,6 +114,13 @@ def test_search_random_deterministic(tmp_path, capsys):
     assert strip_timestamp(out1) == strip_timestamp(out2)
     # byte-identical modulo the timestamp field
     d1, d2 = json.loads(out1), json.loads(out2)
+    stages = d1["timestamp"]["stages"]  # volatile: stage times and work counts
+    assert set(stages) == {
+        "screen_s", "mask_s", "eval_s", "points", "trials_batched", "chunks",
+    }
+    assert stages["points"] == 165  # |U_4| at q = 2
+    assert stages["trials_batched"] == d1["report"]["retained"] == 20
+    assert stages["chunks"] >= 1
     d1.pop("timestamp"), d2.pop("timestamp")
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
 

@@ -302,6 +302,19 @@ def test_build_extremal_even_q3():
     assert intersect_count_arrangement(arr, f).count == 784
 
 
+@pytest.mark.parametrize("n,q", [(5, 2), (4, 3), (4, 4), (4, 7)])
+def test_build_extremal_takes_first_members_of_its_pencil(n, q):
+    # the members are the first three of their pencil, in canonical order,
+    # with the wanted kind under the scalar classification
+    ctx = make_field(q)
+    f = standard_form(n, ctx)
+    arr = build_extremal(f)
+    want = "tangent" if n % 2 else "non_tangent"
+    pencil = pencil_through(intersect_hyperplanes(arr.hyperplanes, ctx), ctx)
+    first = [h for h in pencil if hermitian.classify_hyperplane(f, h).kind == want]
+    assert arr.hyperplanes == tuple(first[:3])
+
+
 def test_build_extremal_impossible_at_q2_even():
     # every pencil over a non-degenerate codim-2 section at q=2 has exactly
     # q^2-q = 2 non-tangent members, so no even-case extremal triple exists

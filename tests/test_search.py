@@ -216,22 +216,95 @@ def test_random_cubic_counts_match_direct_enum():
     assert two.to_json_dict() == rep.to_json_dict()
 
 
-def test_random_cubic_sample_releases_state(monkeypatch):
-    # the shared trial state must not outlive the call, even when it fails
+def test_random_cubic_sample_errors_propagate_and_repeat(monkeypatch):
+    # repeated calls give identical reports, and a failing trial's error
+    # reaches the caller
     from hermvar import search
 
-    random_cubic_sample(4, 2, trials=3, seed=1)
-    assert search._RC_STATE == {}
-    random_cubic_sample(4, 2, trials=3, seed=1, workers=2)
-    assert search._RC_STATE == {}
+    first = random_cubic_sample(4, 3, trials=6, seed=1)
+    for workers in (1, 2, 1):
+        again = random_cubic_sample(4, 3, trials=6, seed=1, workers=workers)
+        assert again.to_json_dict() == first.to_json_dict()
 
     def boom(C, ctx):
         raise RuntimeError("trial failed")
 
     monkeypatch.setattr(search, "linear_factor", boom)
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="trial failed"):
         random_cubic_sample(4, 2, trials=3, seed=1)
-    assert search._RC_STATE == {}
+
+
+def test_random_cubic_sample_without_retained_trials(monkeypatch):
+    # no trials, or every trial discarded: a valid empty report, and
+    # nothing is evaluated
+    from hermvar import search
+    from hermvar.projgeom import Hyperplane
+
+    def no_eval(*args):
+        raise AssertionError("evaluated with no retained cubic")
+
+    monkeypatch.setattr(search, "_zero_counts", no_eval)
+    empty = random_cubic_sample(4, 7, trials=0, seed=0)
+    monkeypatch.setattr(search, "linear_factor", lambda C, ctx: Hyperplane((1, 0, 0, 0, 0)))
+    dropped = random_cubic_sample(4, 2, trials=4, seed=0)
+    for rep, trials in ((empty, 0), (dropped, 4)):
+        assert rep.trials == trials and rep.retained == 0
+        assert len(rep.discarded_divisible) == trials
+        assert rep.histogram == {} and rep.exceedances == []
+        assert rep.max_count == -1
+        assert rep.stages["points"] == rep.stages["chunks"] == 0
+        assert rep.stages["trials_batched"] == 0
+        doc = json.loads(report_json(rep))
+        assert doc["histogram"] == [] and doc["max_count"] == -1
+    assert dropped.discarded_divisible[3] == {"trial": 3, "linear_factor": [1, 0, 0, 0, 0]}
+
+
+def _kernel_cubics(n, ctx, rng):
+    """A random, a sparse, x_n^3 and a product of three hyperplanes."""
+    from hermvar.cubics import (
+        expand_product,
+        make_hypersurface,
+        monomial_exponents,
+        random_hypersurface,
+    )
+    from hermvar.projgeom import Hyperplane, point_array
+
+    exps = monomial_exponents(n, 3)
+    picks = rng.choice(len(exps), size=3, replace=False)
+    sparse = {exps[i]: int(rng.integers(1, ctx.order)) for i in picks}
+    pts = point_array(n, ctx)
+    rows = rng.choice(len(pts), size=3, replace=False)
+    return [
+        random_hypersurface(n, 3, ctx, rng),
+        make_hypersurface(sparse, n, 3, ctx),
+        make_hypersurface({(0,) * n + (3,): 1}, n, 3, ctx),
+        expand_product([Hyperplane(tuple(int(x) for x in pts[r])) for r in rows], ctx),
+    ]
+
+
+@pytest.mark.parametrize(
+    "n,q", [(3, q) for q in (2, 3, 4, 5, 7, 8)] + [(2, q) for q in (9, 11, 13)]
+)
+def test_batched_values_match_eval_poly_at(n, q):
+    # every digit of every value at every point of P^n, for p = 2 .. 13 and
+    # m = 2, 4, 6, against the table evaluation one cubic at a time
+    from hermvar import search
+    from hermvar.cubics import eval_poly_at
+    from hermvar.projgeom import point_array
+
+    ctx = make_field(q)
+    p, m = ctx.p, ctx.ndigits
+    pts = point_array(n, ctx)
+    polys = _kernel_cubics(n, ctx, np.random.default_rng(q))
+    blocks = list(search._value_digits(polys, pts, ctx))
+    assert len(blocks) > 1  # more than one point chunk
+    digits = np.concatenate(blocks, axis=-1).astype(np.int64) % p
+    values = np.einsum("tjk,j->tk", digits, p ** np.arange(m))
+    want = np.stack([eval_poly_at(C, pts, ctx) for C in polys])
+    assert np.array_equal(values, want)
+    counts, chunks = search._zero_counts(polys, pts, ctx)
+    assert counts.tolist() == (want == 0).sum(axis=1).tolist()
+    assert chunks == len(blocks)
 
 
 def test_report_serialization(tmp_path):
