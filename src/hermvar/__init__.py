@@ -15,7 +15,6 @@ from .bounds import (
     cone_counts,
     cubic_bound_closed,
     cubic_bound_rec,
-    hermitian_count,
     max_section_bound,
     quadric_bound_closed,
     quadric_bound_rec,

@@ -79,13 +79,6 @@ def cubic_bound_closed(n, q):
     )
 
 
-def hermitian_count(n, q):
-    """Points of the non-degenerate variety in P^n."""
-    if n < 0:
-        raise OutOfRange(f"n={n} must be >= 0")
-    return nondegenerate_count(n, q)
-
-
 def cone_counts(n, q):
     """Counts of the three codimension-2 section shapes of the variety in
     P^n: (non-degenerate base, point-vertex cone, line-vertex cone)."""
@@ -176,7 +169,7 @@ def build_bound_table(q, n_max, n_min=4):
                 "A_closed": a_closed,
                 "B_rec": b_rec,
                 "B_closed": b_closed,
-                "hermitian_count": hermitian_count(n, q),
+                "hermitian_count": nondegenerate_count(n, q),
                 "cone0_count": cone0,
                 "cone1_count": cone1,
             }

@@ -9,8 +9,9 @@ seed reproduce byte-identical output otherwise.
 Exit codes: 0 all assertions passed, 1 an assertion failed (named in the
 report), 2 usage or configuration error.  Checks outside the proved
 parameter ranges are reported under "informational" and never affect the
-exit code.  HERMVAR_BUDGET and HERMVAR_WORKERS override the defaults when
-the flags are absent.
+exit code.  HERMVAR_BUDGET overrides the default budget when --budget is
+absent.  --workers is accepted and ignored: every command runs in one
+process.
 """
 
 import argparse
@@ -43,14 +44,15 @@ from .field import make_field
 from .hermitian import (
     DEFAULT_POINT_BUDGET,
     classify_section,
-    contains,
     count_points_enum,
     count_points_formula,
+    eval_form_at,
+    nondegenerate_count,
     padded_standard_form,
     section_count,
     standard_form,
 )
-from .projgeom import num_points, random_subspace, subspace_points
+from .projgeom import num_points, random_subspace, subspace_point_array
 from .search import (
     exhaustive_triples,
     histogram_csv,
@@ -73,7 +75,10 @@ def _build_parser():
         sp.add_argument("--q", type=int, required=True, help="subfield order (prime power)")
         sp.add_argument("--n", type=int, required=True, help="projective dimension")
         sp.add_argument("--budget", type=int, default=None)
-        sp.add_argument("--workers", type=int, default=None)
+        sp.add_argument(
+            "--workers", type=int, default=None,
+            help="accepted and ignored; every command runs in one process",
+        )
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--output", type=str, default=None)
@@ -93,14 +98,10 @@ def _build_parser():
     return p
 
 
-def _resolve(args):
-    budget = args.budget
-    if budget is None:
-        budget = int(os.environ.get("HERMVAR_BUDGET", DEFAULT_POINT_BUDGET))
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("HERMVAR_WORKERS", 1))
-    return budget, max(1, workers)
+def _budget(args):
+    if args.budget is not None:
+        return args.budget
+    return int(os.environ.get("HERMVAR_BUDGET", DEFAULT_POINT_BUDGET))
 
 
 def _assertion(name, passed, detail):
@@ -155,7 +156,8 @@ def _suite_sections(q, n, seed=0, budget=DEFAULT_POINT_BUDGET, **_):
         st = classify_section(f, sub)
         types_seen.add((st.v, st.s))
         want = section_count(st, q)
-        got = sum(1 for p in subspace_points(sub, ctx) if contains(f, p))
+        pts = subspace_point_array(sub, ctx)
+        got = int(np.count_nonzero(eval_form_at(f, pts) == 0))
         if got != want:
             failures.append({"subspace": [list(r) for r in sub.basis], "want": want, "got": got})
     checks = [
@@ -174,8 +176,10 @@ def _suite_sections(q, n, seed=0, budget=DEFAULT_POINT_BUDGET, **_):
 
 
 def _suite_incidence(q, n, budget=DEFAULT_POINT_BUDGET, **_):
+    if n < 2:
+        raise OutOfRange(f"n={n} must be >= 2 for the tangent incidence")
     rep = incidence_double_count(n, q, budget=budget)
-    want = q * q * bounds.hermitian_count(n - 2, q) + 1
+    want = q * q * nondegenerate_count(n - 2, q) + 1
     checks = [
         _assertion("tangent_count_uniform", rep.tangent_count_uniform, rep.point_tangent_count),
         _assertion(
@@ -197,7 +201,7 @@ def _suite_incidence(q, n, budget=DEFAULT_POINT_BUDGET, **_):
     return checks, []
 
 
-def _suite_extremal(q, n, budget=DEFAULT_POINT_BUDGET, workers=1, **_):
+def _suite_extremal(q, n, budget=DEFAULT_POINT_BUDGET, **_):
     ctx = make_field(q)
     f = standard_form(n, ctx)
     want = max_cubic_intersection(n, q)
@@ -220,7 +224,7 @@ def _suite_extremal(q, n, budget=DEFAULT_POINT_BUDGET, workers=1, **_):
         from .cubics import expand_product, intersect_count_enum
 
         enum = intersect_count_enum(
-            expand_product(arr.hyperplanes, ctx), f, budget=budget, workers=workers
+            expand_product(arr.hyperplanes, ctx), f, budget=budget
         )
         checks.append(
             _assertion(
@@ -258,7 +262,7 @@ _SUITE_FN = {
 # -- commands -----------------------------------------------------------------
 
 
-def _cmd_count(args, budget, workers):
+def _cmd_count(args, budget):
     q, n = args.q, args.n
     r = args.rank if args.rank is not None else n + 1
     ctx = make_field(q)
@@ -267,7 +271,7 @@ def _cmd_count(args, budget, workers):
     enumerated = None
     if N <= budget:
         f = standard_form(n, ctx) if r == n + 1 else padded_standard_form(r, n, ctx)
-        enumerated = count_points_enum(f, budget=budget, workers=workers)
+        enumerated = count_points_enum(f, budget=budget)
     match = enumerated is None or enumerated == formula
     report = {
         "schema": 1,
@@ -281,11 +285,9 @@ def _cmd_count(args, budget, workers):
     return report, match
 
 
-def _cmd_verify(args, budget, workers):
+def _cmd_verify(args, budget):
     fn = _SUITE_FN[args.suite]
-    checks, info = fn(
-        args.q, args.n, seed=args.seed, budget=budget, workers=workers
-    )
+    checks, info = fn(args.q, args.n, seed=args.seed, budget=budget)
     passed = all(c["passed"] for c in checks)
     report = {
         "schema": 1,
@@ -299,7 +301,7 @@ def _cmd_verify(args, budget, workers):
     return report, passed
 
 
-def _cmd_search(args, budget, workers):
+def _cmd_search(args, budget):
     if args.mode == "triples":
         rep = exhaustive_triples(args.n, args.q, budget=budget, seed=args.seed)
         ok = True
@@ -307,8 +309,7 @@ def _cmd_search(args, budget, workers):
         histogram = rep.histogram
     else:
         rep = random_cubic_sample(
-            args.n, args.q, trials=args.trials, seed=args.seed,
-            workers=workers, budget=budget,
+            args.n, args.q, trials=args.trials, seed=args.seed, budget=budget
         )
         ok = not (rep.threshold_asserted and rep.exceedances)
         doc = rep.to_json_dict()
@@ -371,14 +372,14 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     t0 = time.time()
-    budget, workers = _resolve(args)
+    budget = _budget(args)
     try:
         if args.command == "count":
-            report, ok = _cmd_count(args, budget, workers)
+            report, ok = _cmd_count(args, budget)
         elif args.command == "verify":
-            report, ok = _cmd_verify(args, budget, workers)
+            report, ok = _cmd_verify(args, budget)
         else:
-            report, ok = _cmd_search(args, budget, workers)
+            report, ok = _cmd_search(args, budget)
     except (NotPrimePower, ExceedsCap, OutOfRange, BudgetExceeded) as e:
         err = {
             "schema": 1,

@@ -11,7 +11,6 @@ section-bound checker can exercise d = 2 as well; only the d = 3 maxima
 carry closed formulas.
 """
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -25,27 +24,29 @@ from .errors import (
     PreconditionViolated,
 )
 from .hermitian import (
+    _CHUNK,
     DEFAULT_POINT_BUDGET,
     classify_hyperplane,
     classify_hyperplanes,
     classify_section,
-    count_zeros_enum,
     eval_form_at,
     nondegenerate_count,
     section_count,
+    variety_mask,
 )
 from .projgeom import (
     Hyperplane,
     LinearSubspace,
+    combine_rows,
     enumerate_points,
     incidence_blocks,
     intersect_hyperplanes,
-    normalize,
+    normalize_rows,
     nullspace,
     num_points,
     pencil_through,
     point_array,
-    point_rank,
+    point_rank_array,
     rref,
     subspace_point_array,
 )
@@ -105,20 +106,28 @@ def random_hypersurface(n, degree, ctx, rng):
             )
 
 
-def _pmul(A, B, ctx):
-    out = {}
-    for ea, ca in A.items():
-        for eb, cb in B.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            c = ctx.mul(ca, cb)
-            if c:
-                prev = out.get(e, 0)
-                s = ctx.add(prev, c)
-                if s:
-                    out[e] = s
-                elif e in out:
-                    del out[e]
+def _accumulate(out, terms, ctx):
+    """Add the (exponent, coefficient) terms into the dict out, dropping
+    the exponents whose coefficient sums to zero; returns out."""
+    for e, c in terms:
+        s = ctx.add(out.get(e, 0), c)
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
     return out
+
+
+def _pmul(A, B, ctx):
+    return _accumulate(
+        {},
+        (
+            (tuple(x + y for x, y in zip(ea, eb)), ctx.mul(ca, cb))
+            for ea, ca in A.items()
+            for eb, cb in B.items()
+        ),
+        ctx,
+    )
 
 
 def _as_dict(C):
@@ -215,15 +224,8 @@ def restrict_poly(C, basis, ctx):
             if dead or not term:
                 dead = True
                 break
-        if dead:
-            continue
-        for e, cc in term.items():
-            prev = out.get(e, 0)
-            s = ctx.add(prev, cc)
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
+        if not dead:
+            _accumulate(out, term.items(), ctx)
     if not out:
         return None
     return make_hypersurface(out, m1 - 1, C.degree, ctx)
@@ -232,12 +234,16 @@ def restrict_poly(C, basis, ctx):
 # -- enumeration ------------------------------------------------------------
 
 
-def intersect_count_enum(C, f, budget=DEFAULT_POINT_BUDGET, workers=1):
-    """|V(C) meet V(f)| by scanning all points of P^n (chunked, vectorized,
-    over `workers` processes for large N): the form is evaluated at every
-    point, and C, by shared prefixes, only at the form's zeros."""
-    return count_zeros_enum(
-        f, budget, workers, functools.partial(eval_poly_at, C, ctx=f.ctx)
+def intersect_count_enum(C, f, budget=DEFAULT_POINT_BUDGET):
+    """|V(C) meet V(f)| by scanning all points of P^n in one process: the
+    form is evaluated at every point (variety_mask, which checks the
+    budget), and C, by shared prefixes, only at the form's zeros, _CHUNK
+    rows at a time."""
+    mask = variety_mask(f, budget)
+    zeros = point_array(f.n, f.ctx).compress(mask, axis=0)
+    return sum(
+        int(np.count_nonzero(eval_poly_at(C, zeros[a : a + _CHUNK], f.ctx) == 0))
+        for a in range(0, len(zeros), _CHUNK)
     )
 
 
@@ -433,22 +439,14 @@ def divides_linear(covector, C, ctx):
     for exp, c in C.monomials:
         t = exp[k]
         rest = tuple(0 if i == k else e for i, e in enumerate(exp))
-        if t == 0:
-            parts = {rest: c}
-        else:
-            if not s_pow[t]:
-                continue
-            parts = {
-                tuple(r + s for r, s in zip(rest, se)): ctx.mul(c, sc)
+        _accumulate(
+            out,
+            (
+                (tuple(r + s for r, s in zip(rest, se)), ctx.mul(c, sc))
                 for se, sc in s_pow[t].items()
-            }
-        for e, cc in parts.items():
-            prev = out.get(e, 0)
-            snew = ctx.add(prev, cc)
-            if snew:
-                out[e] = snew
-            elif e in out:
-                del out[e]
+            ),
+            ctx,
+        )
     return not out
 
 
@@ -497,11 +495,12 @@ def _line_factors(R, ctx):
 def linear_factor(C, ctx):
     """First canonical hyperplane covector dividing C, or None.
 
-    Complete by a probe-plane argument: any linear factor L either contains
-    the probe plane entirely, or cuts it in a line that must divide the
-    restricted ternary form R.  Both candidate families are finite and small,
-    so scanning them is an exact pruning of the full covector scan.  When R
-    has no linear factor, C has none.
+    Complete by a probe-plane argument: C does not vanish at the probe
+    plane's base point, so no linear factor L does, and L cuts the plane in
+    a line whose form must divide the restricted ternary form R.  So the
+    candidates are the hyperplanes whose trace on the plane is a line factor
+    of R, a finite and small family, and scanning them is an exact pruning
+    of the full covector scan.  When R has no linear factor, C has none.
 
     The line factors of R are found in one vectorized pass: the lines of
     P^2 on which R vanishes at every point are kept.  For a cubic nothing
@@ -509,7 +508,8 @@ def linear_factor(C, ctx):
     which has at most 3 roots unless it is zero, while every line has
     q^2 + 1 >= 5 points; so R vanishes on a whole line exactly when the
     line's form divides R.  divides_linear still confirms each kept line,
-    and it is the final test of every candidate covector on C.
+    and it is the final test of every candidate covector on C, in canonical
+    order.
     """
     n = C.n
     if n < 3:
@@ -518,41 +518,29 @@ def linear_factor(C, ctx):
     R = restrict_poly(C, basis, ctx)
     assert R is not None  # the probe plane is chosen through a non-zero point
     line_factors = _line_factors(R, ctx)
-    candidates = set()
-    if line_factors:
-        # hyperplanes containing the probe plane
-        duals = nullspace([list(r) for r in basis], ctx)
-        for coeff in enumerate_points(len(duals) - 1, ctx):
-            cov = [0] * (n + 1)
-            for c, row in zip(coeff.coords, duals):
-                if c:
-                    cov = [ctx.add(x, ctx.mul(c, y)) for x, y in zip(cov, row)]
-            candidates.add(normalize(cov, ctx))
-        # hyperplanes whose trace on the plane is one of the line factors:
-        # particular solution of B a^T = b plus the kernel of B
-        for b in line_factors:
-            aug = [list(row) + [b[u]] for u, row in enumerate(basis)]
-            red, pivots = rref(aug, ctx)
-            part = [0] * (n + 1)
-            for r, p in zip(red, pivots):
-                part[p] = r[n + 1]
-            kern = nullspace([list(r) for r in basis], ctx)
-            for coeff in itertools.product(range(ctx.order), repeat=len(kern)):
-                cov = list(part)
-                for c, row in zip(coeff, kern):
-                    if c:
-                        cov = [
-                            ctx.add(x, ctx.mul(c, y)) for x, y in zip(cov, row)
-                        ]
-                if any(cov):
-                    candidates.add(normalize(cov, ctx))
-    hits = [
-        cov for cov in candidates if divides_linear(cov, C, ctx)
-    ]
-    if not hits:
+    if not line_factors:
         return None
-    hits.sort(key=lambda cov: point_rank(cov, ctx))
-    return Hyperplane(hits[0])
+    # the hyperplanes with trace b: the particular solution of B a^T = b plus
+    # every vector of the kernel of B, as coefficients (1, c) on the rows
+    # (part, kernel basis); none is zero, since b is not
+    kern = nullspace([list(r) for r in basis], ctx)
+    coeffs = np.indices((ctx.order,) * len(kern), dtype=np.uint8)
+    coeffs = coeffs.reshape(len(kern), -1).T
+    coeffs = np.hstack([np.ones((len(coeffs), 1), dtype=np.uint8), coeffs])
+    covs = []
+    for b in line_factors:
+        aug = [list(row) + [b[u]] for u, row in enumerate(basis)]
+        red, pivots = rref(aug, ctx)
+        part = [0] * (n + 1)
+        for r, p in zip(red, pivots):
+            part[p] = r[n + 1]
+        covs.append(combine_rows(coeffs, [part, *kern], ctx))
+    covs = normalize_rows(np.concatenate(covs), ctx)
+    for i in np.argsort(point_rank_array(covs, ctx)):
+        cov = tuple(covs[i].tolist())
+        if divides_linear(cov, C, ctx):
+            return Hyperplane(cov)
+    return None
 
 
 # -- affine section bound ------------------------------------------------------
@@ -582,13 +570,7 @@ def check_affine_section_bound(C, f, sigma, pi, budget=DEFAULT_POINT_BUDGET):
     pts = subspace_point_array(sigma_sub, ctx)
     on_c = eval_poly_at(C, pts, ctx) == 0
     on_f = eval_form_at(f, pts) == 0
-    in_pi = np.ones(len(pts), dtype=bool)
-    for cov in pi_duals:
-        acc = np.zeros(len(pts), dtype=np.uint8)
-        for j, a in enumerate(cov):
-            if a:
-                acc = ctx.vadd(acc, ctx.vscale(a, pts[:, j]))
-        in_pi &= acc == 0
+    in_pi = ~combine_rows(pts, list(zip(*pi_duals)), ctx).any(axis=1)
     count = int(np.count_nonzero(on_c & on_f & ~in_pi))
     bound = (d - 1) * (q + 1) * q ** (2 * n - 6)
     return count <= bound
@@ -611,13 +593,7 @@ def make_affine_bound_instance(n, d, ctx, rng):
         G = random_hypersurface(n, d - 1, ctx, rng)
         H = random_hypersurface(n, d - 1, ctx, rng)
         poly = _pmul(x0, _as_dict(G), ctx)
-        for e, c in _pmul(x1, _as_dict(H), ctx).items():
-            prev = poly.get(e, 0)
-            s = ctx.add(prev, c)
-            if s:
-                poly[e] = s
-            elif e in poly:
-                del poly[e]
+        _accumulate(poly, _pmul(x1, _as_dict(H), ctx).items(), ctx)
         if not poly:
             continue
         C = make_hypersurface(poly, n, d, ctx)

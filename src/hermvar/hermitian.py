@@ -11,7 +11,6 @@ SectionType(v, s).
 """
 
 import functools
-import multiprocessing
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,47 +245,9 @@ def eval_form_at(f, pts):
     return acc
 
 
-def _count_range(f, start, stop, poly_at):
-    """Zeros of f among the canonical points start..stop-1 of P^n, chunk by
-    chunk; when poly_at is given, only those of f's zeros (passed to it as a
-    point-index array) where poly_at's values are 0 too."""
-    pts = point_array(f.n, f.ctx)
-    total = 0
-    for a in range(start, stop, _CHUNK):
-        block = pts[a:min(a + _CHUNK, stop)]
-        on_f = eval_form_at(f, block) == 0
-        if poly_at is not None:
-            on_f = poly_at(block.compress(on_f, axis=0)) == 0
-        total += int(np.count_nonzero(on_f))
-    return total
-
-
-def count_zeros_enum(f, budget=DEFAULT_POINT_BUDGET, workers=1, poly_at=None):
-    """Number of points of P^n where f vanishes and, when poly_at is given,
-    poly_at vanishes too, by scanning every point (the budget is checked
-    first).  f is evaluated at every point and poly_at only at f's zeros.
-    From 4 chunks up, the scan is split over `workers` forked processes;
-    poly_at must then pickle, e.g. as a functools.partial of a module-level
-    function."""
-    N = num_points(f.n, f.ctx.q)
-    if N > budget:
-        raise BudgetExceeded(N, budget)
-    if workers <= 1 or N < 4 * _CHUNK:
-        return _count_range(f, 0, N, poly_at)
-    bounds = np.linspace(0, N, workers + 1, dtype=np.int64)
-    jobs = [(f, int(a), int(b), poly_at) for a, b in zip(bounds[:-1], bounds[1:])]
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        parts = pool.starmap(_count_range, jobs)
-    return sum(parts)
-
-
-def count_points_enum(f, budget=DEFAULT_POINT_BUDGET, workers=1):
-    """Exact |V(f)(F_{q^2})| by scanning every point of P^n."""
-    return count_zeros_enum(f, budget, workers)
-
-
 def variety_mask(f, budget=DEFAULT_POINT_BUDGET):
-    """Boolean mask over the canonical point order: True iff on the variety."""
+    """Boolean mask over the canonical point order: True iff on the variety.
+    The one chunked scan of P^n; the budget is checked first."""
     N = num_points(f.n, f.ctx.q)
     if N > budget:
         raise BudgetExceeded(N, budget)
@@ -296,6 +257,12 @@ def variety_mask(f, budget=DEFAULT_POINT_BUDGET):
         b = min(a + _CHUNK, N)
         out[a:b] = eval_form_at(f, pts[a:b]) == 0
     return out
+
+
+def count_points_enum(f, budget=DEFAULT_POINT_BUDGET, workers=1):
+    """Exact |V(f)(F_{q^2})| by scanning every point of P^n, in one process;
+    `workers` is accepted and ignored."""
+    return int(np.count_nonzero(variety_mask(f, budget)))
 
 
 # -- tangency and sections ---------------------------------------------------

@@ -274,16 +274,27 @@ def membership(point, subspace, ctx):
     return all(v == 0 for v in vec)
 
 
+def combine_rows(coeffs, rows, ctx):
+    """coeffs @ rows over F_{q^2}: row k of the (K, c) index array is
+    sum_i coeffs[k, i] * rows[i], for a (K, r) coefficient index array and
+    r row vectors of length c."""
+    out = np.zeros((coeffs.shape[0], len(rows[0])), dtype=np.uint8)
+    for i, row in enumerate(rows):
+        col = coeffs[:, i]
+        for j, r in enumerate(row):
+            if r:
+                out[:, j] = ctx.vadd(out[:, j], ctx.vscale(r, col))
+    return out
+
+
 def hyperplanes_through(point, ctx):
     """Yield the (q^{2n}-1)/(q^2-1) hyperplanes containing the point."""
-    n = point.n
     basis = nullspace([point.coords], ctx)
-    for coeff in enumerate_points(n - 1, ctx):
-        cov = [0] * (n + 1)
-        for c, row in zip(coeff.coords, basis):
-            if c:
-                cov = [ctx.add(x, ctx.mul(c, y)) for x, y in zip(cov, row)]
-        yield Hyperplane(normalize(cov, ctx))
+    if not basis:  # a point of P^0 lies on no hyperplane
+        return
+    covs = combine_rows(point_array(point.n - 1, ctx), basis, ctx)
+    for cov in normalize_rows(covs, ctx).tolist():
+        yield Hyperplane(tuple(cov))
 
 
 def pencil_through(subspace, ctx):
@@ -294,28 +305,17 @@ def pencil_through(subspace, ctx):
         raise WrongDimension(f"pencil needs dim {n - 2}, got {subspace.dim}")
     duals = nullspace([list(r) for r in subspace.basis], ctx)
     assert len(duals) == 2
-    r1, r2 = duals
-    members = [r2] + [
-        tuple(ctx.add(a, ctx.mul(b, x)) for a, x in zip(r1, r2)) for b in range(ctx.order)
-    ]
-    members = [normalize(m, ctx) for m in members]
-    members.sort(key=lambda cov: point_rank(cov, ctx))
-    return [Hyperplane(m) for m in members]
+    # duals (r1, r2) is in RREF, so its combinations by the points of P^1,
+    # r1 + b r2 for each b in index order and then r2, are canonical
+    # covectors and come out in canonical order
+    members = combine_rows(point_array(1, ctx), duals, ctx)
+    return [Hyperplane(tuple(m)) for m in members.tolist()]
 
 
 def subspace_points(subspace, ctx):
     """All points of the subspace, canonical representatives."""
-    m = subspace.dim
-    if m < 0:
-        return []
-    pts = []
-    for coeff in enumerate_points(m, ctx):
-        vec = [0] * (subspace.n + 1)
-        for c, row in zip(coeff.coords, subspace.basis):
-            if c:
-                vec = [ctx.add(x, ctx.mul(c, y)) for x, y in zip(vec, row)]
-        pts.append(ProjPoint(normalize(vec, ctx)))
-    return pts
+    pts = normalize_rows(subspace_point_array(subspace, ctx), ctx)
+    return [ProjPoint(tuple(p)) for p in pts.tolist()]
 
 
 def subspace_point_array(subspace, ctx):
@@ -324,14 +324,7 @@ def subspace_point_array(subspace, ctx):
     m = subspace.dim
     if m < 0:
         return np.zeros((0, subspace.n + 1), dtype=np.uint8)
-    coeffs = point_array(m, ctx)
-    out = np.zeros((coeffs.shape[0], subspace.n + 1), dtype=np.uint8)
-    for i, row in enumerate(subspace.basis):
-        col = coeffs[:, i]
-        for j, r in enumerate(row):
-            if r:
-                out[:, j] = ctx.vadd(out[:, j], ctx.vscale(r, col))
-    return out
+    return combine_rows(point_array(m, ctx), subspace.basis, ctx)
 
 
 def random_subspace(n, m, ctx, rng):

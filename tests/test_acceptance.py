@@ -177,7 +177,7 @@ def test_criterion_5_extremal(n, q, want):
     if (n, q) == (4, 7):
         # full enumeration over the 5,884,901 points of P^4(F_49)
         cubic = expand_product(arr.hyperplanes, ctx)
-        enum = intersect_count_enum(cubic, f, workers=WORKERS)
+        enum = intersect_count_enum(cubic, f)
         assert enum == want
     report(f"[criterion 5 (n={n},q={q})] PASS: built arrangement meets the "
            f"variety in exactly {want} points")

@@ -9,7 +9,6 @@ from hermvar.bounds import (
     cone_counts,
     cubic_bound_closed,
     cubic_bound_rec,
-    hermitian_count,
     max_section_bound,
     quadric_bound_closed,
     quadric_bound_rec,
@@ -20,6 +19,7 @@ from hermvar.hermitian import (
     classify_section,
     contains,
     count_points_formula,
+    nondegenerate_count,
     standard_form,
 )
 from hermvar.projgeom import random_subspace, subspace_points
@@ -54,14 +54,12 @@ def test_out_of_range():
             fn(3, 2)
     with pytest.raises(OutOfRange):
         check_bound_power_gap(4, 2)
-    with pytest.raises(OutOfRange):
-        hermitian_count(-1, 2)
 
 
-def test_hermitian_count_values():
-    assert hermitian_count(4, 2) == 165
-    assert hermitian_count(3, 3) == 280
-    assert hermitian_count(4, 7) == 840_400
+def test_nondegenerate_count_values():
+    assert nondegenerate_count(4, 2) == 165
+    assert nondegenerate_count(3, 3) == 280
+    assert nondegenerate_count(4, 7) == 840_400
 
 
 def test_cone_counts_values():

@@ -4,10 +4,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hermvar
 from hermvar.cli import main
+from hermvar.field import make_field
+from hermvar.hermitian import classify_section, contains, section_count, standard_form
+from hermvar.projgeom import enumerate_points, membership, random_subspace
 
 
 def run_cli(capsys, *argv):
@@ -75,6 +79,34 @@ def test_verify_sequences(capsys):
 def test_verify_sections(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "sections", "--q", "2", "--n", "4")
     assert code == 0
+    # the same assertions from a scalar count: the variety points of P^4
+    # that lie in each of the suite's 100 subspaces (seed 0)
+    ctx = make_field(2)
+    f = standard_form(4, ctx)
+    zeros = [P for P in enumerate_points(4, ctx) if contains(f, P)]
+    rng = np.random.default_rng(0)
+    failures, types_seen = [], set()
+    for _ in range(100):
+        sub = random_subspace(4, 2, ctx, rng)
+        st = classify_section(f, sub)
+        types_seen.add((st.v, st.s))
+        want = section_count(st, 2)
+        got = sum(membership(P, sub, ctx) for P in zeros)
+        if got != want:
+            failures.append({"subspace": [list(r) for r in sub.basis], "want": want, "got": got})
+    assertions = [
+        {
+            "name": "section_formula_equals_enumeration[100 subspaces]",
+            "passed": not failures,
+            "detail": failures[:3],
+        },
+        {
+            "name": "only_three_section_shapes",
+            "passed": types_seen <= {(-1, 2), (0, 1), (1, 0)},
+            "detail": [list(t) for t in sorted(types_seen)],
+        },
+    ]
+    assert json.loads(out)["assertions"] == assertions
 
 
 def test_verify_incidence(capsys):
@@ -83,6 +115,12 @@ def test_verify_incidence(capsys):
     doc = json.loads(out)
     byname = {a["name"]: a for a in doc["assertions"]}
     assert byname["tangent_count_value"]["detail"]["got"] == 13
+
+
+def test_verify_incidence_refuses_small_n(capsys):
+    code, out = run_cli(capsys, "verify", "--suite", "incidence", "--q", "2", "--n", "1")
+    assert code == 2
+    assert json.loads(out)["error"] == "OutOfRange"
 
 
 def test_verify_extremal_pass_and_fail(capsys):

@@ -136,26 +136,22 @@ def test_intersect_count_enum_matches_scalar_scan(n, q, rank):
         assert intersect_count_enum(C, f) == want, (n, q, rank, C.monomials)
 
 
-def test_intersect_count_enum_workers(monkeypatch):
-    # chunks of 100 rows make the 820 points of P^3(F_9) large enough for
-    # the pool, which must give the single-process counts
+def test_enum_scans_match_scalar_across_chunks(monkeypatch):
+    # chunks of 100 rows split the 820 points of P^3(F_9), and the form's
+    # 280 zeros, across several chunk boundaries; the two product cubics
+    # vanish at the first or the last zero of some chunks
+    monkeypatch.setattr("hermvar.hermitian._CHUNK", 100)
+    monkeypatch.setattr("hermvar.cubics._CHUNK", 100)
     ctx = make_field(3)
     f = standard_form(3, ctx)
     rng = np.random.default_rng(7)
+    points = [P for P in enumerate_points(3, ctx) if evaluate(f, P) == 0]
+    assert count_points_enum(f) == len(points) == nondegenerate_count(3, 3)
     cubics = [random_hypersurface(3, 3, ctx, rng) for _ in range(3)]
-    one = [intersect_count_enum(C, f) for C in cubics]
-    pools = []
-    get_context = hermitian.multiprocessing.get_context
-
-    def spy(method):
-        pools.append(method)
-        return get_context(method)
-
-    monkeypatch.setattr(hermitian, "_CHUNK", 100)
-    monkeypatch.setattr(hermitian.multiprocessing, "get_context", spy)
-    assert [intersect_count_enum(C, f, workers=2) for C in cubics] == one
-    assert count_points_enum(f, workers=2) == nondegenerate_count(3, 3)
-    assert pools == ["fork"] * 4
+    cubics += [expand_product(random_triple(3, ctx, rng), ctx) for _ in range(2)]
+    for C in cubics:
+        want = sum(evaluate_poly(C, P.coords, ctx) == 0 for P in points)
+        assert intersect_count_enum(C, f) == want, C.monomials
 
 
 def test_intersect_count_enum_triple_hyperplane():
@@ -383,6 +379,20 @@ def test_linear_factor_complete_at_q2():
             assert got == brute[0]
         else:
             assert got is None
+
+
+def test_linear_factor_finds_every_hyperplane():
+    # L * G for every hyperplane L of P^3(F_4) and a random quadric G, so
+    # the factor takes many different places among the candidates
+    ctx = make_field(2)
+    hyps = list(enumerate_hyperplanes(3, ctx))
+    rng = np.random.default_rng(8)
+    for L in hyps:
+        lin = _as_dict(expand_product([L], ctx))
+        G = _as_dict(random_hypersurface(3, 2, ctx, rng))
+        C = make_hypersurface(_pmul(lin, G, ctx), 3, 3, ctx)
+        brute = next(h for h in hyps if divides_linear(h.covector, C, ctx))
+        assert linear_factor(C, ctx) == brute, L
 
 
 def ternary_cubic_cases(ctx, rng):

@@ -14,6 +14,7 @@ from hermvar.projgeom import (
     intersect_hyperplanes,
     membership,
     normalize,
+    nullspace,
     num_points,
     pencil_through,
     point_array,
@@ -73,12 +74,12 @@ def test_point_rank_roundtrip(n, q):
 
 
 def test_hyperplanes_through_counts():
-    # (q^{2n}-1)/(q^2-1): 85 for n=4, 21 for n=3, 1 for n=1 at q=2
+    # (q^{2n}-1)/(q^2-1): 85 for n=4, 21 for n=3, 1 for n=1, 0 for n=0 at q=2
     assert hyperplanes_through_count(4, 2) == 85
     assert hyperplanes_through_count(3, 2) == 21
     assert hyperplanes_through_count(1, 2) == 1
     ctx = make_field(2)
-    for n in (1, 2, 3):
+    for n in (0, 1, 2, 3):
         P = next(enumerate_points(n, ctx))
         hyps = list(hyperplanes_through(P, ctx))
         assert len(hyps) == hyperplanes_through_count(n, 2)
@@ -165,6 +166,47 @@ def test_subspace_points(n, m, q):
     assert arr.shape[0] == len(pts)
     norm_arr = {normalize(tuple(int(x) for x in row), ctx) for row in arr}
     assert norm_arr == {p.coords for p in pts}
+
+
+def scalar_combinations(coeffs, rows, ctx):
+    """Each coefficient point's combination of the rows, normalized, by
+    scalar table lookups one entry at a time."""
+    add, mul, inv = (t.tolist() for t in (ctx.add_table, ctx.mul_table, ctx.inv_table))
+    out = []
+    for coeff in coeffs:
+        vec = [0] * len(rows[0])
+        for c, row in zip(coeff.coords, rows):
+            if c:
+                vec = [add[x][mul[c][y]] for x, y in zip(vec, row)]
+        lead = inv[next(v for v in vec if v)]
+        out.append(tuple(mul[lead][v] for v in vec))
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_row_combinations_match_scalar_loops(n, q):
+    # hyperplanes_through, subspace_points and pencil_through, element for
+    # element and in order, against scalar loops over the coefficient points
+    ctx = make_field(q)
+    rng = np.random.default_rng(10 * n + q)
+    P = point_from_rank(int(rng.integers(num_points(n, q))), n, ctx)
+    basis = nullspace([P.coords], ctx)
+    want = scalar_combinations(enumerate_points(n - 1, ctx), basis, ctx)
+    assert [h.covector for h in hyperplanes_through(P, ctx)] == want
+    assert subspace_points(LinearSubspace((), n), ctx) == []
+    for m in range(n):
+        sub = random_subspace(n, m, ctx, rng)
+        want = scalar_combinations(enumerate_points(m, ctx), sub.basis, ctx)
+        assert [p.coords for p in subspace_points(sub, ctx)] == want, m
+    sub = random_subspace(n, n - 2, ctx, rng)
+    r1, r2 = nullspace([list(r) for r in sub.basis], ctx)
+    members = [r2] + [
+        tuple(ctx.add(a, ctx.mul(b, x)) for a, x in zip(r1, r2))
+        for b in range(ctx.order)
+    ]
+    want = sorted((normalize(m, ctx) for m in members), key=lambda c: point_rank(c, ctx))
+    assert [h.covector for h in pencil_through(sub, ctx)] == want
 
 
 def test_rref_is_idempotent_and_canonical():
