@@ -23,6 +23,7 @@ from .cubics import (
     Arrangement,
     Hypersurface,
     IntersectionReport,
+    affine_section_count,
     all_tangent_pencil_value,
     arrangement,
     build_extremal,

@@ -305,15 +305,11 @@ def _cmd_search(args, budget):
     if args.mode == "triples":
         rep = exhaustive_triples(args.n, args.q, budget=budget, seed=args.seed)
         ok = True
-        doc = rep.to_json_dict()
-        histogram = rep.histogram
     else:
         rep = random_cubic_sample(
             args.n, args.q, trials=args.trials, seed=args.seed, budget=budget
         )
         ok = not (rep.threshold_asserted and rep.exceedances)
-        doc = rep.to_json_dict()
-        histogram = rep.histogram
     report = {
         "schema": 1,
         "command": "search",
@@ -324,12 +320,11 @@ def _cmd_search(args, budget):
             "seed": args.seed,
             "trials": args.trials if args.mode == "random" else None,
         },
-        "report": doc,
+        "report": rep.to_json_dict(),
         "passed": ok,
     }
-    report["_histogram"] = histogram  # consumed by csv output, not serialized
-    if args.mode == "random":
-        report["_stages"] = rep.stages  # volatile, emitted under "timestamp"
+    report["_histogram"] = rep.histogram  # consumed by csv output, not serialized
+    report["_stages"] = rep.stages  # volatile, emitted under "timestamp"
     return report, ok
 
 

@@ -486,7 +486,7 @@ def _line_factors(R, ctx):
         return []
     on_line = np.empty(len(pts), dtype=np.int64)
     for a, b, block in incidence_blocks(pts, zeros, ctx):
-        on_line[a:b] = block.sum(axis=1)
+        on_line[a:b] = np.count_nonzero(block == 0, axis=1)
     full = np.nonzero(on_line == ctx.order + 1)[0]
     covs = (tuple(int(x) for x in pts[i]) for i in full)
     return [L for L in covs if divides_linear(L, R, ctx)]
@@ -546,10 +546,11 @@ def linear_factor(C, ctx):
 # -- affine section bound ------------------------------------------------------
 
 
-def check_affine_section_bound(C, f, sigma, pi, budget=DEFAULT_POINT_BUDGET):
-    """Whether |V(C) meet V(f) meet (sigma minus pi)| <= (d-1)(q+1)q^(2n-6),
-    for a hyperplane sigma not inside C and a codim-2 space pi inside both
-    C and sigma.  The count is by enumeration of the hyperplane's points."""
+def affine_section_count(C, f, sigma, pi, budget=DEFAULT_POINT_BUDGET):
+    """|V(C) meet V(f) meet (sigma minus pi)|, for a hyperplane sigma not
+    inside C and a codim-2 space pi inside both C and sigma, by enumeration
+    of the hyperplane's points; raises PreconditionViolated outside the
+    setting of check_affine_section_bound."""
     ctx = f.ctx
     n, q, d = f.n, ctx.q, C.degree
     if d > q or n < 3:
@@ -571,9 +572,16 @@ def check_affine_section_bound(C, f, sigma, pi, budget=DEFAULT_POINT_BUDGET):
     on_c = eval_poly_at(C, pts, ctx) == 0
     on_f = eval_form_at(f, pts) == 0
     in_pi = ~combine_rows(pts, list(zip(*pi_duals)), ctx).any(axis=1)
-    count = int(np.count_nonzero(on_c & on_f & ~in_pi))
+    return int(np.count_nonzero(on_c & on_f & ~in_pi))
+
+
+def check_affine_section_bound(C, f, sigma, pi, budget=DEFAULT_POINT_BUDGET):
+    """Whether |V(C) meet V(f) meet (sigma minus pi)| <= (d-1)(q+1)q^(2n-6),
+    for a hyperplane sigma not inside C and a codim-2 space pi inside both
+    C and sigma (see affine_section_count)."""
+    n, q, d = f.n, f.ctx.q, C.degree
     bound = (d - 1) * (q + 1) * q ** (2 * n - 6)
-    return count <= bound
+    return affine_section_count(C, f, sigma, pi, budget) <= bound
 
 
 def make_affine_bound_instance(n, d, ctx, rng):

@@ -126,9 +126,9 @@ def point_array(n, ctx):
 
 
 def incidence_blocks(covs, pts, ctx):
-    """Point-on-hyperplane incidence in row blocks of about 500 k entries:
-    yields (a, b, block) with block[i, p] True iff point pts[p] lies on the
-    hyperplane covs[a + i].
+    """Covector-point dot products in row blocks of about 500 k entries:
+    yields (a, b, block) with block[i, p] the dot product of covs[a + i] and
+    pts[p], a field index that is 0 iff the point lies on the hyperplane.
 
     Each coordinate's products come from one (Q, |pts|) table of c * pts[:, j]
     over every field element c, so a step is a row gather plus one addition
@@ -145,7 +145,7 @@ def incidence_blocks(covs, pts, ctx):
             idx *= Q
             idx += tabs[j][covs[a:b, j]]
             acc = add.take(idx)
-        yield a, b, acc == 0
+        yield a, b, acc
 
 
 def _rank_offsets(n, Q):

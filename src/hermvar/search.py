@@ -7,13 +7,20 @@ common codimension-2 subspace, and triple terms from a dense
 plane-x-hyperplane incidence table.  The enumeration cross-checks read one
 incidence matrix Z of every hyperplane with the points of the variety only
 (about 1/q of P^n), bit-packed along the points, so a section count is a
-popcount of a row, or of the AND / OR of a few rows.
+popcount of a row, or of the AND / OR of a few rows, taken a uint64 word at
+a time.  Z is built grouped by prefix: the hyperplanes come in runs of q^2
+that share all coordinates but the last, so one kernel pass over the
+prefixes gives every run's dot values, and each member of a run is one
+table compare against them.
 
 Codimension-2 subspaces are enumerated directly as reduced-row-echelon dual
 lines (two-row RREF matrices of covectors), which visits every pencil
-exactly once without deduplication.
+exactly once without deduplication.  The ranks of a pencil's members are
+sums of terms in one or two of the dual line's free digits, so the catalog
+is built as broadcast sums over the grid of free digits, never as rows.
 """
 
+import functools
 import json
 import math
 import time
@@ -46,6 +53,7 @@ from .projgeom import (
     point_array,
     point_from_rank,
     point_rank_array,
+    _rank_offsets,
 )
 
 _MEMO_CELL_LIMIT = 50_000_000  # plane x hyperplane table entries
@@ -69,45 +77,74 @@ def incidence_zero_matrix(n, ctx, u):
     """Bit-packed incidence of every hyperplane with the points pts[u]:
     row i, unpacked with np.unpackbits, is True at column c iff the c-th
     point of pts[u] lies on hyperplane i (canonical orders); the padding
-    bits are 0."""
-    pts = point_array(n, ctx)
-    upts = pts[u]
-    Z = np.empty((len(pts), (len(upts) + 7) // 8), dtype=np.uint8)
-    for a, b, block in incidence_blocks(pts, upts, ctx):
-        Z[a:b] = np.packbits(block, axis=1)
+    bits are 0.
+
+    In canonical order every hyperplane but the last, e_n, is one of a run
+    of Q that share their first n coordinates, a point of P^{n-1}, and take
+    every last coordinate a_n in index order.  So the kernel computes the
+    dot values V of these prefixes with the points' first n coordinates
+    once, and a run's Q rows are a_n x_n == -V, one table compare each."""
+    Q = ctx.order
+    upts = point_array(n, ctx)[u]
+    Z = np.empty((num_points(n, ctx.q), (len(upts) + 7) // 8), dtype=np.uint8)
+    last = ctx.mul_table[:, upts[:, n]]  # a_n x_n for every a_n
+    for a, b, V in incidence_blocks(point_array(n - 1, ctx), upts[:, :n], ctx):
+        neg = ctx.neg_table[V]
+        for c in range(Q):
+            Z[a * Q + c : b * Q : Q] = np.packbits(last[c] == neg, axis=1)
+    Z[-1] = np.packbits(upts[:, n] == 0)
     return Z
 
 
 def dual_line_catalog(n, ctx):
     """Member hyperplane ranks of every pencil, one row per codimension-2
-    subspace, via direct RREF enumeration of dual lines."""
+    subspace, via direct RREF enumeration of dual lines.
+
+    The dual lines with pivots c1 < c2 are the RREF pairs (r1, r2), rows in
+    the order of their free digits, r1's and then r2's, as base-Q numbers.
+    Member 0 is r2; member 1 + b is r1 + b r2, which has its leading 1 at c1,
+    r1's digits before c2, b at c2 and r1_j + b r2_j after c2.  So every
+    rank is a sum of terms in at most two free digits and b, and a (c1, c2)
+    block is one broadcast sum over its free digits and its Q + 1 members."""
     Q = ctx.order
-    blocks = []
+    offs = _rank_offsets(n, Q)
+    assert offs[-1] < 2**31, "ranks would overflow int32"
+    w = [Q ** (n - j) for j in range(n + 1)]
+    e = np.arange(Q, dtype=np.int32)
+    # comb[x, y, b] = x + b y, a coordinate of r1 + b r2 after c2
+    comb = ctx.add_table[e[:, None, None], ctx.mul_table[e[None, :, None], e]]
+    comb = comb.astype(np.int32)
+    cat = np.empty((gaussian_binomial(n + 1, 2, Q), Q + 1), dtype=np.int32)
+    a = 0
     for c1 in range(n + 1):
         for c2 in range(c1 + 1, n + 1):
-            free1 = [j for j in range(c1 + 1, n + 1) if j != c2]
-            free2 = [j for j in range(c2 + 1, n + 1)]
-            cnt = Q ** (len(free1) + len(free2))
-            r1 = np.zeros((cnt, n + 1), dtype=np.uint8)
-            r2 = np.zeros((cnt, n + 1), dtype=np.uint8)
-            r1[:, c1] = 1
-            r2[:, c2] = 1
-            t = np.arange(cnt, dtype=np.int64)
-            for j in reversed(free2):
-                r2[:, j] = t % Q
-                t //= Q
-            for j in reversed(free1):
-                r1[:, j] = t % Q
-                t //= Q
-            mem = np.empty((cnt, Q + 1), dtype=np.int64)
-            mem[:, 0] = point_rank_array(r2, ctx)
-            for b in range(Q):
-                rows = r1 if b == 0 else ctx.vadd(r1, ctx.vscale(b, r2))
-                mem[:, 1 + b] = point_rank_array(rows, ctx)
-            blocks.append(mem)
-    cat = np.concatenate(blocks)
-    assert len(cat) == gaussian_binomial(n + 1, 2, Q)
+            mid, tail = range(c1 + 1, c2), range(c2 + 1, n + 1)
+            k = len(mid) + 2 * len(tail)  # free digits: r1's, then r2's
+            cnt = Q**k
+            mem = cat[a : a + cnt].reshape((Q,) * k + (Q + 1,))
+            first = [offs[c2]]  # member 0
+            rest = [offs[c1] + w[c2] * e]  # members 1 .. Q, b on the last axis
+            for i, j in enumerate(mid):
+                rest.append(_along(w[j] * e, (i,), k + 1))
+            for i, j in enumerate(tail):
+                x, y = len(mid) + i, len(mid) + len(tail) + i
+                first.append(_along(w[j] * e, (y,), k))
+                rest.append(_along(w[j] * comb, (x, y, k), k + 1))
+            # the partial sums grow one axis at a time, so only the last
+            # addition spans the whole block
+            mem[..., 0] = functools.reduce(np.add, first)
+            mem[..., 1:] = functools.reduce(np.add, rest)
+            a += cnt
+    assert a == len(cat)
     return cat
+
+
+def _along(arr, axes, ndim):
+    """arr with its axes placed at `axes` of an ndim-dimensional broadcast."""
+    shape = [1] * ndim
+    for ax, size in zip(axes, arr.shape):
+        shape[ax] = size
+    return arr.reshape(shape)
 
 
 def hyperplane_tangency(n, q):
@@ -133,31 +170,57 @@ class _Geometry:
     S: np.ndarray  # per-hyperplane section counts (from classification)
     planes: np.ndarray  # pencil member ranks per codim-2 subspace
     plane_count: np.ndarray  # section count of each codim-2 subspace
+    stages: dict  # stage wall times and work counts
+
+
+def _section_counts(n, q):
+    """Points of U_n on a tangent and on a non-tangent hyperplane."""
+    return 1 + q * q * nondegenerate_count(n - 2, q), nondegenerate_count(n - 1, q)
 
 
 def build_geometry(n, q, budget=DEFAULT_POINT_BUDGET):
+    """Incidence, tangency, pencil catalog and pencil section counts.
+
+    Section counts are popcounts of Z's rows, and of the AND of a pencil's
+    first two rows, taken on a zero-padded uint64 view of Z."""
     ctx = _ctx(q)
     N = num_points(n, q)
     if N * N > budget:
         raise BudgetExceeded(N * N, budget, what="incidence entries")
+    t0 = time.time()
     u = variety_mask(standard_form(n, ctx))
+    t1 = time.time()
     Z = incidence_zero_matrix(n, ctx, u)
+    t2 = time.time()
     tangent = hyperplane_tangency(n, q)
-    tangent_count = 1 + q * q * nondegenerate_count(n - 2, q)
-    S = np.where(tangent, tangent_count, nondegenerate_count(n - 1, q)).astype(
-        np.int64
-    )
+    S = np.where(tangent, *_section_counts(n, q)).astype(np.int64)
+    words = -(-Z.shape[1] // 8)
+    Zw = np.zeros((N, 8 * words), dtype=np.uint8)
+    Zw[:, : Z.shape[1]] = Z
+    Zw = Zw.view(np.uint64)
     # classification counts must agree with the enumerated popcounts, exactly
-    enum_S = np.bitwise_count(Z).sum(axis=1)
+    enum_S = np.bitwise_count(Zw).sum(axis=1)
     assert np.array_equal(S, enum_S), "hyperplane section counts disagree"
+    t3 = time.time()
     planes = dual_line_catalog(n, ctx)
+    t4 = time.time()
     plane_count = np.empty(len(planes), dtype=np.int64)
-    blk = 4096
+    blk = 1024
     for a in range(0, len(planes), blk):
         b = min(a + blk, len(planes))
-        rows = Z[planes[a:b, 0]] & Z[planes[a:b, 1]]
+        rows = Zw[planes[a:b, 0]] & Zw[planes[a:b, 1]]
         plane_count[a:b] = np.bitwise_count(rows).sum(axis=1)
-    return _Geometry(n, q, N, Z, u, tangent, S, planes, plane_count)
+    t5 = time.time()
+    stages = {
+        "mask_s": t1 - t0,
+        "incidence_s": t2 - t1,
+        "tangency_s": t3 - t2,
+        "catalog_s": t4 - t3,
+        "plane_counts_s": t5 - t4,
+        "pencils": len(planes),
+        "popcount_words": (N + len(planes)) * words,
+    }
+    return _Geometry(n, q, N, Z, u, tangent, S, planes, plane_count, stages)
 
 
 # -- exhaustive triple search -------------------------------------------------
@@ -179,6 +242,7 @@ class SearchReport:
     samples_verified: int
     method_mix: dict
     wall_time_s: float
+    stages: dict  # build_geometry's stage times and work counts, not serialized
 
     def to_json_dict(self):
         return _json_fields(self, "triple_search")
@@ -314,6 +378,7 @@ def exhaustive_triples(
             "enumeration_verified": len(argmax) + verified,
         },
         wall_time_s=time.time() - t0,
+        stages=geo.stages,
     )
 
 
@@ -344,11 +409,15 @@ def pencil_triples_scan(n, q, budget=DEFAULT_POINT_BUDGET):
     like N^2, not N^3).
     """
     geo = build_geometry(n, q, budget=budget)
-    S_members = geo.S[geo.planes]  # (n_planes, q^2+1)
-    top3 = np.partition(S_members, -3, axis=1)[:, -3:].sum(axis=1)
+    tmem = np.count_nonzero(geo.tangent[geo.planes], axis=1)  # tangent members
+    # S takes one value on tangent and one on non-tangent hyperplanes (as
+    # build_geometry asserts), so a pencil's best triple takes as many
+    # members of the larger kind as it has, up to 3
+    s_tan, s_non = _section_counts(n, q)
+    larger = tmem if s_tan > s_non else geo.planes.shape[1] - tmem
+    top3 = 3 * min(s_tan, s_non) + abs(s_tan - s_non) * np.minimum(larger, 3)
     best_per_plane = top3 - 2 * geo.plane_count
     best = int(best_per_plane.max())
-    tmem = geo.tangent[geo.planes].sum(axis=1)  # tangent members per pencil
     is_best = best_per_plane == best
     mf = max_cubic_intersection(n, q)
     return PencilScanReport(
@@ -420,15 +489,13 @@ def incidence_double_count(n, q, budget=DEFAULT_POINT_BUDGET):
     upts = point_array(n, ctx)[u]
     nU = len(upts)
     # tangent covectors, one per variety point
-    cov_arr = tangent_hyperplanes(f, upts)
-    assert len(np.unique(point_rank_array(cov_arr, ctx))) == nU, (
-        "tangent map must be injective"
+    cov_ranks = point_rank_array(tangent_hyperplanes(f, upts), ctx)
+    assert len(np.unique(cov_ranks)) == nU, "tangent map must be injective"
+    # tangency incidence among variety points: point b lies on the tangent
+    # hyperplane at point a iff bit b of Z's row at that covector is set
+    tangent_through = np.unpackbits(Z[cov_ranks], axis=1, count=nU).sum(
+        axis=0, dtype=np.int64
     )
-    # tangency incidence among variety points: T[a, b] = 1 iff point b lies
-    # on the tangent hyperplane at point a
-    tangent_through = np.zeros(nU, dtype=np.int64)
-    for _, _, block in incidence_blocks(cov_arr, upts, ctx):
-        tangent_through += block.sum(axis=0)
     uniform = bool((tangent_through == tangent_through[0]).all())
     t_count = int(tangent_through[0])
     # hyperplane side

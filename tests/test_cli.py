@@ -163,6 +163,27 @@ def test_search_random_deterministic(tmp_path, capsys):
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
 
 
+def test_search_triples_emits_stages(capsys, monkeypatch):
+    # the triple search's stage times and work counts go under the volatile
+    # timestamp block, and the report is serialized without them
+    from hermvar import cli
+    from hermvar.search import SearchReport
+
+    rep = SearchReport(
+        n=4, q=2, seed=0, total_triples=1, global_max=5, max_formula_value=117,
+        reaches_formula_max=False, histogram={5: 1}, argmax_total=1,
+        argmax_arrangements=[], argmax_structure={}, samples_verified=0,
+        method_mix={}, wall_time_s=1.0, stages={"catalog_s": 0.12345, "pencils": 5797},
+    )
+    monkeypatch.setattr(cli, "exhaustive_triples", lambda n, q, budget, seed: rep)
+    code, out = run_cli(capsys, "search", "--q", "2", "--n", "4", "--mode", "triples")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["timestamp"]["stages"] == {"catalog_s": 0.123, "pencils": 5797}
+    assert doc["report"] == rep.to_json_dict()
+    assert "stages" not in doc["report"]
+
+
 def test_search_output_file(tmp_path, capsys):
     out_path = tmp_path / "report.json"
     code, _ = run_cli(

@@ -8,6 +8,7 @@ from hermvar.cubics import (
     _as_dict,
     _line_factors,
     _pmul,
+    affine_section_count,
     all_tangent_pencil_value,
     arrangement,
     build_extremal,
@@ -33,6 +34,7 @@ from hermvar.errors import (
 )
 from hermvar.field import make_field
 from hermvar.hermitian import (
+    contains,
     count_points_enum,
     evaluate,
     nondegenerate_count,
@@ -42,12 +44,15 @@ from hermvar.hermitian import (
 )
 from hermvar.projgeom import (
     Hyperplane,
+    LinearSubspace,
     enumerate_hyperplanes,
     enumerate_points,
     hyperplanes_through,
     intersect_hyperplanes,
+    nullspace,
     pencil_through,
     point_array,
+    rref,
 )
 
 
@@ -465,6 +470,62 @@ def test_affine_section_bound_instances(d, q):
     for _ in range(10):
         C, sigma, pi = make_affine_bound_instance(4, d, ctx, rng)
         assert check_affine_section_bound(C, f, sigma, pi)
+
+
+def _general_affine_instance(n, d, ctx, rng):
+    """(C, sigma, pi) with pi = V(L1, L2) for random independent covectors,
+    sigma a random member of the pencil through pi and C = L1 G + L2 H for
+    random forms G, H of degree d-1, resampled until sigma is not inside C."""
+    while True:
+        rows = [tuple(int(x) for x in r) for r in rng.integers(0, ctx.order, (2, n + 1))]
+        L, _ = rref(rows, ctx)
+        if len(L) < 2:
+            continue
+        pi = LinearSubspace(nullspace(L, ctx), n)
+        members = pencil_through(pi, ctx)
+        sigma = members[int(rng.integers(len(members)))]
+        poly = {}
+        for cov in L:
+            G = random_hypersurface(n, d - 1, ctx, rng)
+            lin = {tuple(int(i == j) for i in range(n + 1)): c for j, c in enumerate(cov) if c}
+            for e, c in _pmul(lin, _as_dict(G), ctx).items():
+                poly[e] = ctx.add(poly.get(e, 0), c)
+        poly = {e: c for e, c in poly.items() if c}
+        if not poly:
+            continue
+        C = make_hypersurface(poly, n, d, ctx)
+        sigma_sub = intersect_hyperplanes([sigma], ctx)
+        if restrict_poly(C, sigma_sub.basis, ctx) is not None:
+            return C, sigma, pi
+
+
+@pytest.mark.parametrize("n,d,q", [(4, 3, 3), (4, 2, 3), (3, 3, 4)])
+def test_affine_section_count_matches_scalar_loop(n, d, q):
+    # the count against a scalar loop over sigma's points, with pi tested by
+    # both of its dual covectors, on the bound's own instances (sigma = V(x_0)
+    # is then pi's first dual) and on instances in general position
+    ctx = make_field(q)
+    f = standard_form(n, ctx)
+    rng = np.random.default_rng(100 * n + 10 * d + q)
+    points = list(enumerate_points(n, ctx))
+    counts = []
+    for make in [make_affine_bound_instance] * 4 + [_general_affine_instance] * 4:
+        C, sigma, pi = make(n, d, ctx, rng)
+        duals = nullspace([list(r) for r in pi.basis], ctx)
+        want = sum(
+            1
+            for P in points
+            if ctx.dot(sigma.covector, P.coords) == 0
+            and any(ctx.dot(dv, P.coords) != 0 for dv in duals)
+            and evaluate_poly(C, P.coords, ctx) == 0
+            and contains(f, P)
+        )
+        got = affine_section_count(C, f, sigma, pi)
+        assert got == want
+        bound = (d - 1) * (q + 1) * q ** (2 * n - 6)
+        assert check_affine_section_bound(C, f, sigma, pi) == (want <= bound)
+        counts.append(got)
+    assert all(counts)  # an empty count would hide a pi that swallows sigma
 
 
 def test_affine_section_bound_preconditions():

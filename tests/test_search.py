@@ -9,7 +9,13 @@ from hermvar.bounds import cone_counts
 from hermvar.errors import BudgetExceeded
 from hermvar.field import make_field
 from hermvar.hermitian import contains, nondegenerate_count, standard_form, variety_mask
-from hermvar.projgeom import enumerate_points, num_points
+from hermvar.projgeom import (
+    enumerate_hyperplanes,
+    enumerate_points,
+    intersect_hyperplanes,
+    num_points,
+    pencil_through,
+)
 from hermvar.search import (
     build_geometry,
     dual_line_catalog,
@@ -44,7 +50,26 @@ def test_dual_line_catalog_small():
         assert len(set(int(x) for x in row)) == 5
 
 
-GRIDS = [(3, 2), (4, 2), (3, 3), (5, 2)]
+@pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (4, 2), (3, 3), (2, 4), (3, 4)])
+def test_dual_line_catalog_matches_pencil_through(n, q):
+    # every row is the pencil through the axis of its first two members, in
+    # pencil_through's order but with its last member (r2) first, and every
+    # codimension-2 subspace is the axis of exactly one row
+    ctx = make_field(q)
+    hyps = list(enumerate_hyperplanes(n, ctx))
+    rank = {h: r for r, h in enumerate(hyps)}
+    cat = dual_line_catalog(n, ctx)
+    assert len(cat) == gaussian_binomial(n + 1, 2, ctx.order)
+    axes = set()
+    for row in cat.tolist():
+        axis = intersect_hyperplanes([hyps[row[0]], hyps[row[1]]], ctx)
+        members = [rank[h] for h in pencil_through(axis, ctx)]
+        assert row == members[-1:] + members[:-1]
+        axes.add(axis.basis)
+    assert len(axes) == len(cat)
+
+
+GRIDS = [(2, 3), (2, 4), (3, 2), (4, 2), (3, 3), (5, 2)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -87,6 +112,12 @@ def test_build_geometry_totals():
     assert len(geo.planes) == 5797
     # section counts live in the three admissible shapes
     assert set(int(c) for c in geo.plane_count) == {9, 13, 5}
+    stages = geo.stages
+    assert stages["pencils"] == 5797
+    # 165 points take 21 bytes, 3 zero-padded words, per row of Z
+    assert stages["popcount_words"] == (341 + 5797) * 3
+    for key in ("mask_s", "incidence_s", "tangency_s", "catalog_s", "plane_counts_s"):
+        assert stages[key] >= 0
 
 
 def test_exhaustive_triples_n4_q2():
@@ -106,6 +137,8 @@ def test_exhaustive_triples_n4_q2():
     assert len(rep.argmax_arrangements) <= 1000
     first = rep.argmax_arrangements[0]
     assert first["count"] == 111 and len(first["covectors"]) == 3
+    assert rep.stages["pencils"] == 5797  # build_geometry's, not serialized
+    assert "stages" not in rep.to_json_dict()
 
 
 def test_exhaustive_triples_budget():
@@ -127,6 +160,27 @@ def test_pencil_scan_4_3_extremal_structure():
         "Pi0U|tangent_members=1",
         "Pi1U|tangent_members=10",
     }
+
+
+@pytest.mark.parametrize("n,q", [(4, 2), (5, 2), (4, 3)])
+def test_pencil_scan_matches_sorted_members(n, q):
+    # each pencil's best triple from its three largest member section
+    # counts; tangent hyperplanes cut more points than the others at (5,2)
+    # and fewer at (4,2) and (4,3)
+    from hermvar.search import _section_profile
+
+    geo = build_geometry(n, q)
+    top3 = np.sort(geo.S[geo.planes], axis=1)[:, -3:].sum(axis=1)
+    best_per_plane = top3 - 2 * geo.plane_count
+    tmem = geo.tangent[geo.planes].sum(axis=1)
+    rep = pencil_triples_scan(n, q)
+    assert rep.best_count == best_per_plane.max()
+    is_best = best_per_plane == rep.best_count
+    want = _section_profile(geo.plane_count[is_best], tmem[is_best], n, q)
+    assert rep.best_structures == want
+    assert rep.tangent_members_by_section == _section_profile(
+        geo.plane_count, tmem, n, q
+    )
 
 
 def test_pencil_scan_4_2_reported_only():
