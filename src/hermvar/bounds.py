@@ -154,10 +154,11 @@ class BoundTable:
                 )
 
 
-def build_bound_table(q, n_max, n_min=4):
-    """Tabulate the sequences; recursion/closed-form agreement is enforced."""
+def build_bound_table(q, n_max):
+    """Tabulate the sequences from n = 4, where both are seeded, to n_max;
+    recursion/closed-form agreement is enforced."""
     rows = []
-    for n in range(n_min, n_max + 1):
+    for n in range(4, n_max + 1):
         a_rec, a_closed = quadric_bound_rec(n, q), quadric_bound_closed(n, q)
         b_rec, b_closed = cubic_bound_rec(n, q), cubic_bound_closed(n, q)
         assert a_rec == a_closed and b_rec == b_closed

@@ -53,12 +53,7 @@ from .hermitian import (
     standard_form,
 )
 from .projgeom import num_points, random_subspace, subspace_point_array
-from .search import (
-    exhaustive_triples,
-    histogram_csv,
-    incidence_double_count,
-    random_cubic_sample,
-)
+from .search import exhaustive_triples, incidence_double_count, random_cubic_sample
 
 SUITES = ("sequences", "sections", "incidence", "extremal", "affine")
 
@@ -323,7 +318,7 @@ def _cmd_search(args, budget):
         "report": rep.to_json_dict(),
         "passed": ok,
     }
-    report["_histogram"] = rep.histogram  # consumed by csv output, not serialized
+    report["_histogram"] = rep.histogram  # the csv output, not serialized
     report["_stages"] = rep.stages  # volatile, emitted under "timestamp"
     return report, ok
 
@@ -351,16 +346,17 @@ def _emit(report, args, t0):
             w.writerow(["quantity", "value"])
             w.writerow(["formula", report["formula"]])
             w.writerow(["enumerated", report["enumerated"]])
+        else:  # the search histogram, with the \n line ends of its files
+            w = csv.writer(buf, lineterminator="\n")
+            w.writerow(["value", "count"])
+            w.writerows(sorted(histogram.items()))
         out_text = buf.getvalue()
     else:
         out_text = text
     sys.stdout.write(out_text)
     if args.output:
-        if args.format == "csv" and report["command"] == "search" and histogram is not None:
-            histogram_csv(histogram, args.output)
-        else:
-            with open(args.output, "w") as fh:
-                fh.write(out_text)
+        with open(args.output, "w") as fh:
+            fh.write(out_text)
 
 
 def main(argv=None):

@@ -1,10 +1,12 @@
 """Cubic hypersurfaces and their intersections with the Hermitian variety.
 
 Unions of three hyperplanes are the central objects: their intersection
-count with the variety is assembled exactly from section classifications by
-inclusion-exclusion (the pencil case uses sum(sections) - 2*common, the
-codimension-3 case subtracts the three pairwise sections and adds the triple
-one back), with full point enumeration kept as an independent oracle.
+count with the variety is assembled exactly by one inclusion-exclusion rule,
+the three hyperplane sections minus the three pairwise sections plus the
+triple one, each counted from its section classification.  In a pencil every
+pair and the triple meet in the common axis, so the rule reads
+sum(sections) - 2*axis there.  Full point enumeration is kept as an
+independent oracle.
 
 Degree is kept parametric (monomials of any fixed degree d) so the affine
 section-bound checker can exercise d = 2 as well; only the d = 3 maxima
@@ -50,6 +52,8 @@ from .projgeom import (
     rref,
     subspace_point_array,
 )
+
+_EXTREMAL_SCAN_LIMIT = 64  # non-degenerate pencils build_extremal scans
 
 
 @dataclass(frozen=True)
@@ -296,37 +300,27 @@ def arrangement(hyperplanes, f):
 
 def intersect_count_arrangement(arr, f):
     """Exact |union of the three hyperplanes meet V(f)| from section
-    classifications only (no point enumeration)."""
+    classifications only (no point enumeration): the alternating sum, over
+    the non-empty subsets T of the hyperplanes, of the section counts of
+    their intersections."""
     ctx = f.ctx
-    q = ctx.q
     hyps = arr.hyperplanes
     if len(set(h.covector for h in hyps)) != len(hyps):
         raise DuplicateHyperplanes("arrangement hyperplanes must be distinct")
-    per_hyp = tuple(
-        section_count(classify_section(f, intersect_hyperplanes([h], ctx)), q)
-        for h in hyps
+    # terms[k - 1]: the section counts of the k-wise intersections
+    terms = [
+        tuple(
+            section_count(classify_section(f, intersect_hyperplanes(T, ctx)), ctx.q)
+            for T in itertools.combinations(hyps, k)
+        )
+        for k in range(1, len(hyps) + 1)
+    ]
+    count = sum((-1) ** k * sum(t) for k, t in enumerate(terms))
+    breakdown = (
+        ("per_hyperplane", terms[0]),
+        ("per_pair", terms[1]),
+        ("triple", terms[2][0]),
     )
-    common = intersect_hyperplanes(hyps, ctx)
-    codim = f.n - common.dim
-    if codim == 2:
-        pi_count = section_count(classify_section(f, common), q)
-        count = sum(per_hyp) - 2 * pi_count
-        breakdown = (
-            ("common", pi_count),
-            ("per_hyperplane", per_hyp),
-        )
-    else:
-        pair_counts = []
-        for i, j in itertools.combinations(range(len(hyps)), 2):
-            sub = intersect_hyperplanes([hyps[i], hyps[j]], ctx)
-            pair_counts.append(section_count(classify_section(f, sub), q))
-        triple = section_count(classify_section(f, common), q)
-        count = sum(per_hyp) - sum(pair_counts) + triple
-        breakdown = (
-            ("per_hyperplane", per_hyp),
-            ("per_pair", tuple(pair_counts)),
-            ("triple", triple),
-        )
     return IntersectionReport(count, "inclusion_exclusion", breakdown)
 
 
@@ -361,7 +355,7 @@ def all_tangent_pencil_value(n, q):
     return val
 
 
-def build_extremal(f, scan_limit=64):
+def build_extremal(f):
     """Deterministically build the extremal candidate: three hyperplanes
     through a common codimension-2 space with non-degenerate section, all
     tangent for odd n and all non-tangent for even n.
@@ -369,8 +363,9 @@ def build_extremal(f, scan_limit=64):
     Candidate spaces are intersections of pairs of non-tangent hyperplanes
     taken in canonical order; each non-degenerate candidate's pencil is
     scanned for three members of the required tangency (smallest canonical
-    covectors win).  If every scanned pencil falls short the failure is
-    reported, never silently relaxed.
+    covectors win).  If every scanned pencil falls short, or the first
+    _EXTREMAL_SCAN_LIMIT do, the failure is reported, never silently
+    relaxed.
     """
     ctx = f.ctx
     n = f.n
@@ -400,7 +395,7 @@ def build_extremal(f, scan_limit=64):
             if len(members) >= 3:
                 return arrangement(tuple(members[:3]), f)
             scanned.append(len(members))
-            if len(scanned) >= scan_limit:
+            if len(scanned) >= _EXTREMAL_SCAN_LIMIT:
                 raise InsufficientPencilMembers(
                     f"none of {len(scanned)} scanned non-degenerate pencils "
                     f"contains 3 {want} hyperplanes "

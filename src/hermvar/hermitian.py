@@ -20,6 +20,7 @@ from .field import solve_norm
 from .projgeom import (
     Hyperplane,
     ProjPoint,
+    combine_rows,
     matrix_rank,
     normalize_rows,
     num_points,
@@ -283,23 +284,12 @@ def _inverse_matrix(f):
     return tuple(tuple(row[n1:]) for row in red)
 
 
-def _fsum(terms, ctx):
-    """Field sum along the last axis of an index array."""
-    acc = terms[..., 0]
-    for j in range(1, terms.shape[-1]):
-        acc = ctx.add_table[acc, terms[..., j]]
-    return acc
-
-
-def _matvec(M, vecs, ctx):
-    """Rows v of an index array mapped to M v (M a tuple-of-tuples matrix)."""
-    return _fsum(ctx.mul_table[np.array(M, dtype=np.uint8), vecs[:, None, :]], ctx)
-
-
 def _polar_covectors(f, pts):
     """Normalized covectors of x -> x^T H p^(q), one per row p of pts."""
     ctx = f.ctx
-    return normalize_rows(_matvec(f.matrix, ctx.vfrob(pts), ctx), ctx)
+    return normalize_rows(
+        combine_rows(ctx.vfrob(pts), list(zip(*f.matrix)), ctx), ctx
+    )
 
 
 def tangent_hyperplanes(f, pts):
@@ -311,9 +301,8 @@ def tangent_hyperplanes(f, pts):
         coords = tuple(int(x) for x in pts[off[0]])
         raise NotOnVariety(f"point {coords} is not on the variety")
     covs = _polar_covectors(f, pts)
-    assert not _fsum(ctx.mul_table[covs, pts], ctx).any(), (
-        "tangent hyperplane misses its point"
-    )
+    dots = functools.reduce(ctx.vadd, ctx.vmul(covs, pts).T)
+    assert not dots.any(), "tangent hyperplane misses its point"
     return covs
 
 
@@ -333,7 +322,8 @@ def classify_hyperplanes(f, covs):
     ctx = f.ctx
     if rank(f) != f.n + 1:
         raise Degenerate("classification needs a non-degenerate form")
-    witness = normalize_rows(ctx.vfrob(_matvec(_inverse_matrix(f), covs, ctx)), ctx)
+    Hinv_T = list(zip(*_inverse_matrix(f)))
+    witness = normalize_rows(ctx.vfrob(combine_rows(covs, Hinv_T, ctx)), ctx)
     tangent = eval_form_at(f, witness) == 0
     assert np.array_equal(
         _polar_covectors(f, witness[tangent]), normalize_rows(covs[tangent], ctx)

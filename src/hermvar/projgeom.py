@@ -226,10 +226,9 @@ def matrix_rank(rows, ctx):
     return len(rref(rows, ctx)[0])
 
 
-def nullspace(rows, ctx, ncols=None):
+def nullspace(rows, ctx):
     """Canonical RREF basis of {x : rows @ x = 0}."""
-    if ncols is None:
-        ncols = len(rows[0])
+    ncols = len(rows[0])
     red, pivots = rref(rows, ctx)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
@@ -242,12 +241,10 @@ def nullspace(rows, ctx, ncols=None):
     return rref(basis, ctx)[0] if basis else ()
 
 
-def subspace_from_rows(rows, ctx, n=None):
+def subspace_from_rows(rows, ctx):
     """Build the LinearSubspace spanned by the given row vectors."""
-    if n is None:
-        n = len(rows[0]) - 1
     basis, _ = rref(rows, ctx)
-    return LinearSubspace(basis, n)
+    return LinearSubspace(basis, len(rows[0]) - 1)
 
 
 def intersect_hyperplanes(hyperplanes, ctx):

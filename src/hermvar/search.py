@@ -38,6 +38,7 @@ from .cubics import (
     random_hypersurface,
 )
 from .errors import BudgetExceeded
+from .field import make_field
 from .hermitian import (
     DEFAULT_POINT_BUDGET,
     classify_hyperplanes,
@@ -57,6 +58,7 @@ from .projgeom import (
 )
 
 _MEMO_CELL_LIMIT = 50_000_000  # plane x hyperplane table entries
+_ARGMAX_LIMIT = 1000  # argmax arrangements listed in a triple-search report
 _EVAL_CHUNK_BYTES = 16 << 20  # working set of one random-cubic point chunk
 
 
@@ -149,14 +151,8 @@ def _along(arr, axes, ndim):
 
 def hyperplane_tangency(n, q):
     """Tangency kind of every canonical hyperplane of P^n (standard form)."""
-    ctx = _ctx(q)
+    ctx = make_field(q)
     return classify_hyperplanes(standard_form(n, ctx), point_array(n, ctx))[0]
-
-
-def _ctx(q):
-    from .field import make_field
-
-    return make_field(q)
 
 
 @dataclass
@@ -178,12 +174,12 @@ def _section_counts(n, q):
     return 1 + q * q * nondegenerate_count(n - 2, q), nondegenerate_count(n - 1, q)
 
 
-def build_geometry(n, q, budget=DEFAULT_POINT_BUDGET):
-    """Incidence, tangency, pencil catalog and pencil section counts.
-
-    Section counts are popcounts of Z's rows, and of the AND of a pencil's
-    first two rows, taken on a zero-padded uint64 view of Z."""
-    ctx = _ctx(q)
+def _variety_incidence(n, q, budget):
+    """The geometry of U_n that needs no pencils: the variety mask u, the
+    incidence Z with its zero-padded uint64 view Zw, every hyperplane's
+    tangency and section count S, and the stage times.  S comes from the
+    classification and is asserted equal to the popcounts of Z's rows."""
+    ctx = make_field(q)
     N = num_points(n, q)
     if N * N > budget:
         raise BudgetExceeded(N * N, budget, what="incidence entries")
@@ -202,7 +198,18 @@ def build_geometry(n, q, budget=DEFAULT_POINT_BUDGET):
     enum_S = np.bitwise_count(Zw).sum(axis=1)
     assert np.array_equal(S, enum_S), "hyperplane section counts disagree"
     t3 = time.time()
-    planes = dual_line_catalog(n, ctx)
+    stages = {"mask_s": t1 - t0, "incidence_s": t2 - t1, "tangency_s": t3 - t2}
+    return u, Z, Zw, tangent, S, stages
+
+
+def build_geometry(n, q, budget=DEFAULT_POINT_BUDGET):
+    """Incidence, tangency, pencil catalog and pencil section counts.
+
+    Section counts are popcounts of Z's rows, and of the AND of a pencil's
+    first two rows, taken on a zero-padded uint64 view of Z."""
+    u, Z, Zw, tangent, S, stages = _variety_incidence(n, q, budget)
+    t3 = time.time()
+    planes = dual_line_catalog(n, make_field(q))
     t4 = time.time()
     plane_count = np.empty(len(planes), dtype=np.int64)
     blk = 1024
@@ -211,16 +218,13 @@ def build_geometry(n, q, budget=DEFAULT_POINT_BUDGET):
         rows = Zw[planes[a:b, 0]] & Zw[planes[a:b, 1]]
         plane_count[a:b] = np.bitwise_count(rows).sum(axis=1)
     t5 = time.time()
-    stages = {
-        "mask_s": t1 - t0,
-        "incidence_s": t2 - t1,
-        "tangency_s": t3 - t2,
-        "catalog_s": t4 - t3,
-        "plane_counts_s": t5 - t4,
-        "pencils": len(planes),
-        "popcount_words": (N + len(planes)) * words,
-    }
-    return _Geometry(n, q, N, Z, u, tangent, S, planes, plane_count, stages)
+    stages.update(
+        catalog_s=t4 - t3,
+        plane_counts_s=t5 - t4,
+        pencils=len(planes),
+        popcount_words=(len(Zw) + len(planes)) * Zw.shape[1],
+    )
+    return _Geometry(n, q, len(Z), Z, u, tangent, S, planes, plane_count, stages)
 
 
 # -- exhaustive triple search -------------------------------------------------
@@ -254,12 +258,11 @@ def exhaustive_triples(
     budget=DEFAULT_POINT_BUDGET,
     seed=0,
     verify_samples=1000,
-    argmax_limit=1000,
 ):
     """Exact maximum of |union of three hyperplanes meet variety| over all
     unordered triples, with full histogram and re-verified argmax list."""
     t0 = time.time()
-    ctx = _ctx(q)
+    ctx = make_field(q)
     N = num_points(n, q)
     total = math.comb(N, 3)
     if total > budget:
@@ -341,7 +344,7 @@ def exhaustive_triples(
             f"{arr.pi_section.label}|" + ",".join(sorted(arr.tangency))
         )
         structure[label] = structure.get(label, 0) + 1
-        if len(arr_dicts) < argmax_limit:
+        if len(arr_dicts) < _ARGMAX_LIMIT:
             arr_dicts.append(arr.to_json_dict(count=gmax))
 
     # sampled three-way verification: internal assembly, classification
@@ -479,13 +482,9 @@ def incidence_double_count(n, q, budget=DEFAULT_POINT_BUDGET):
     points; and the point/non-tangent-hyperplane incidences sum identically
     from both sides.
     """
-    ctx = _ctx(q)
-    N = num_points(n, q)
-    if N * N > budget:
-        raise BudgetExceeded(N * N, budget, what="incidence entries")
+    u, Z, _, kinds, _, _ = _variety_incidence(n, q, budget)
+    ctx = make_field(q)
     f = standard_form(n, ctx)
-    u = variety_mask(f)
-    Z = incidence_zero_matrix(n, ctx, u)
     upts = point_array(n, ctx)[u]
     nU = len(upts)
     # tangent covectors, one per variety point
@@ -499,7 +498,6 @@ def incidence_double_count(n, q, budget=DEFAULT_POINT_BUDGET):
     uniform = bool((tangent_through == tangent_through[0]).all())
     t_count = int(tangent_through[0])
     # hyperplane side
-    kinds = hyperplane_tangency(n, q)
     n_tangent = int(kinds.sum())
     hyps_through = np.unpackbits(Z, axis=1, count=nU).sum(axis=0, dtype=np.int64)
     assert (hyps_through == hyps_through[0]).all()
@@ -509,9 +507,9 @@ def incidence_double_count(n, q, budget=DEFAULT_POINT_BUDGET):
         n=n,
         q=q,
         variety_points=nU,
-        hyperplanes_total=N,
+        hyperplanes_total=len(Z),
         tangent_hyperplanes=n_tangent,
-        non_tangent_hyperplanes=N - n_tangent,
+        non_tangent_hyperplanes=len(Z) - n_tangent,
         hyperplanes_through_point=int(hyps_through[0]),
         point_tangent_count=t_count,
         tangent_count_uniform=uniform,
@@ -629,7 +627,7 @@ def random_cubic_sample(
     linear-factor screen, the variety mask and the evaluation, and the
     counts of points evaluated, trials batched and chunks."""
     t0 = time.time()
-    ctx = _ctx(q)
+    ctx = make_field(q)
     N = num_points(n, q)
     if N > budget:
         raise BudgetExceeded(N, budget)
@@ -704,10 +702,3 @@ def report_json(report, path=None):
         with open(path, "w") as fh:
             fh.write(text)
     return text
-
-
-def histogram_csv(histogram, path):
-    with open(path, "w") as fh:
-        fh.write("value,count\n")
-        for v in sorted(histogram):
-            fh.write(f"{v},{histogram[v]}\n")

@@ -197,15 +197,19 @@ def test_search_output_file(tmp_path, capsys):
 
 
 def test_search_histogram_csv(tmp_path, capsys):
+    # the histogram goes to stdout, one "value,count" row per histogram
+    # value, and --output writes the same bytes to the file
     out_path = tmp_path / "hist.csv"
-    code, _ = run_cli(
-        capsys,
+    argv = (
         "search", "--q", "2", "--n", "4", "--mode", "random",
         "--trials", "5", "--seed", "1", "--format", "csv",
-        "--output", str(out_path),
     )
+    code, out = run_cli(capsys, *argv, "--output", str(out_path))
     assert code == 0
-    assert out_path.read_text().startswith("value,count\n")
+    assert out_path.read_bytes() == out.encode()
+    hist = json.loads(run_cli(capsys, *argv[:-2])[1])["report"]["histogram"]
+    assert out == "value,count\n" + "".join(f"{v},{c}\n" for v, c in hist)
+    assert run_cli(capsys, *argv)[1] == out
 
 
 def test_verify_csv_format(capsys):

@@ -228,6 +228,42 @@ def test_coordinate_triple_codim3_matches_enumeration():
     assert rep.count == intersect_count_enum(C, f)
 
 
+@pytest.mark.parametrize("n,q", [(4, 2), (5, 2), (4, 3)])
+def test_pencil_triples_match_popcounts(n, q):
+    # one pencil of each axis shape, and every number of tangent members a
+    # triple from it can take: the inclusion-exclusion count equals the
+    # popcount of the OR of the three incidence rows, and every pair and
+    # the triple meet in the axis
+    from hermvar.bounds import cone_counts
+    from hermvar.projgeom import point_from_rank
+    from hermvar.search import build_geometry
+
+    ctx = make_field(q)
+    f = standard_form(n, ctx)
+    geo = build_geometry(n, q)
+    for axis in cone_counts(n, q):  # U, Pi0U, Pi1U
+        pid = int(np.flatnonzero(geo.plane_count == axis)[0])
+        ranks = geo.planes[pid]
+        tan = [int(r) for r in ranks if geo.tangent[r]]
+        non = [int(r) for r in ranks if not geo.tangent[r]]
+        patterns = range(max(0, 3 - len(non)), min(3, len(tan)) + 1)
+        assert len(patterns) >= 1
+        for k in patterns:
+            idx = tan[:k] + non[: 3 - k]
+            hyps = tuple(Hyperplane(point_from_rank(r, n, ctx).coords) for r in idx)
+            arr = arrangement(hyps, f)
+            assert arr.tangency.count("tangent") == k
+            rep = intersect_count_arrangement(arr, f)
+            union = geo.Z[idx[0]] | geo.Z[idx[1]] | geo.Z[idx[2]]
+            assert rep.count == int(np.bitwise_count(union).sum()), (axis, k)
+            assert [key for key, _ in rep.breakdown] == [
+                "per_hyperplane", "per_pair", "triple"
+            ]
+            keys = dict(rep.breakdown)
+            assert keys["per_hyperplane"] == tuple(int(geo.S[r]) for r in idx)
+            assert keys["per_pair"] == (axis,) * 3 and keys["triple"] == axis
+
+
 @pytest.mark.parametrize("q,trials", [(2, 1000), (3, 1000)])
 def test_method_equivalence_random_triples(q, trials):
     ctx = make_field(q)

@@ -21,7 +21,6 @@ from hermvar.search import (
     dual_line_catalog,
     exhaustive_triples,
     gaussian_binomial,
-    histogram_csv,
     hyperplane_tangency,
     incidence_double_count,
     incidence_zero_matrix,
@@ -368,7 +367,3 @@ def test_report_serialization(tmp_path):
     assert text1 == text2
     loaded = json.loads((tmp_path / "r.json").read_text())
     assert loaded["schema"] == 1 and loaded["kind"] == "random_cubics"
-    histogram_csv(rep.histogram, tmp_path / "h.csv")
-    lines = (tmp_path / "h.csv").read_text().splitlines()
-    assert lines[0] == "value,count"
-    assert len(lines) == 1 + len(rep.histogram)

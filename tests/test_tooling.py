@@ -1,9 +1,11 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "hermvar"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "hermvar"
 
 
 def imported_modules(path):
@@ -25,3 +27,24 @@ def test_no_module_starts_processes_or_thread_pools():
         for name in imported_modules(path):
             assert name.split(".")[0] != "multiprocessing", (path.name, name)
             assert not name.startswith("concurrent.futures"), (path.name, name)
+
+
+def test_traced_run_names_resolve():
+    # the traced benchmark run looks up every (module, name) of
+    # perfbench/layers.py's WRAPPED with getattr, so each must still exist
+    tree = ast.parse((ROOT / "perfbench" / "layers.py").read_text())
+    wrapped = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "WRAPPED" for t in node.targets)
+    )
+    pairs = [
+        (mod.value, name.value)
+        for mod, funcs in zip(wrapped.keys, wrapped.values)
+        for name in funcs.keys
+    ]
+    assert len(pairs) > 10
+    for mod, name in pairs:
+        module = importlib.import_module(f"hermvar.{mod}")
+        assert callable(getattr(module, name, None)), f"hermvar.{mod}.{name}"
