@@ -337,7 +337,7 @@ def _emit(report, args, t0):
     text = json.dumps(report, sort_keys=True, indent=2, default=str) + "\n"
     if args.format == "csv":
         buf = io.StringIO()
-        w = csv.writer(buf)
+        w = csv.writer(buf, lineterminator="\n")
         if report["command"] == "verify":
             w.writerow(["name", "passed", "detail"])
             for c in report["assertions"]:
@@ -346,8 +346,7 @@ def _emit(report, args, t0):
             w.writerow(["quantity", "value"])
             w.writerow(["formula", report["formula"]])
             w.writerow(["enumerated", report["enumerated"]])
-        else:  # the search histogram, with the \n line ends of its files
-            w = csv.writer(buf, lineterminator="\n")
+        else:
             w.writerow(["value", "count"])
             w.writerows(sorted(histogram.items()))
         out_text = buf.getvalue()

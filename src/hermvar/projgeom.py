@@ -167,20 +167,6 @@ def point_rank(coords, ctx):
     return r
 
 
-def point_from_rank(r, n, ctx):
-    """Inverse of point_rank."""
-    Q = ctx.order
-    offs = _rank_offsets(n, Q)
-    k = next(i for i in range(n + 1) if offs[i] <= r < offs[i + 1])
-    t = r - offs[k]
-    coords = [0] * (n + 1)
-    coords[k] = 1
-    for j in range(n, k, -1):
-        coords[j] = t % Q
-        t //= Q
-    return ProjPoint(tuple(coords))
-
-
 def point_rank_array(coords_arr, ctx):
     """Vectorized point_rank for an array of canonical vectors."""
     arr = np.asarray(coords_arr, dtype=np.int64)

@@ -1,10 +1,10 @@
 """Exhaustive and statistical experiments over hyperplane arrangements.
 
-The exhaustive triple search walks every unordered triple of hyperplanes.
-Counts are assembled from memoized section data: per-hyperplane section
-counts (from tangency classification), per-pair section counts keyed by the
-common codimension-2 subspace, and triple terms from a dense
-plane-x-hyperplane incidence table.  The enumeration cross-checks read one
+The exhaustive triple search takes a pencil's pairs i < j against every
+k > j in one broadcast call.  Pair counts are one product of the unpacked
+incidence with itself, triple terms one more; the maximal triples' labels
+are read from the counts (a common section's dimension and point count fix
+its type), not re-classified.  The enumeration cross-checks read one
 incidence matrix Z of every hyperplane with the points of the variety only
 (about 1/q of P^n), bit-packed along the points, so a section count is a
 popcount of a row, or of the AND / OR of a few rows, taken a uint64 word at
@@ -30,6 +30,7 @@ import numpy as np
 
 from .bounds import cone_counts, cubic_bound_closed
 from .cubics import (
+    Arrangement,
     arrangement,
     intersect_count_arrangement,
     linear_factor,
@@ -41,8 +42,10 @@ from .errors import BudgetExceeded
 from .field import make_field
 from .hermitian import (
     DEFAULT_POINT_BUDGET,
+    SectionType,
     classify_hyperplanes,
     nondegenerate_count,
+    section_count,
     standard_form,
     tangent_hyperplanes,
     variety_mask,
@@ -52,7 +55,6 @@ from .projgeom import (
     incidence_blocks,
     num_points,
     point_array,
-    point_from_rank,
     point_rank_array,
     _rank_offsets,
 )
@@ -230,6 +232,19 @@ def build_geometry(n, q, budget=DEFAULT_POINT_BUDGET):
 # -- exhaustive triple search -------------------------------------------------
 
 
+def _section_types(n, q):
+    """SectionType of every section of dimension m = n - 2 or n - 3 (base
+    dimension s >= 2m - n), keyed by (m, point count)."""
+    types = [
+        SectionType(m - 1 - s, s, m)
+        for m in (n - 2, n - 3)
+        for s in range(max(-1, 2 * m - n), m + 1)
+    ]
+    table = {(st.m, section_count(st, q)): st for st in types}
+    assert len(table) == len(types), "two section types share a key"
+    return table
+
+
 @dataclass
 class SearchReport:
     n: int
@@ -262,6 +277,7 @@ def exhaustive_triples(
     """Exact maximum of |union of three hyperplanes meet variety| over all
     unordered triples, with full histogram and re-verified argmax list."""
     t0 = time.time()
+    mf = max_cubic_intersection(n, q)  # refuses n < 4 before any work
     ctx = make_field(q)
     N = num_points(n, q)
     total = math.comb(N, 3)
@@ -273,76 +289,64 @@ def exhaustive_triples(
         raise BudgetExceeded(
             n_planes * N, _MEMO_CELL_LIMIT, what="pair/triple memo cells"
         )
-    # pair section count and plane id, addressed by hyperplane pair
-    P = np.zeros((N, N), dtype=np.int64)
-    plane_id = np.zeros((N, N), dtype=np.int32)
-    for pid in range(n_planes):
-        mem = geo.planes[pid]
-        c = geo.plane_count[pid]
-        P[np.ix_(mem, mem)] = c
-        plane_id[np.ix_(mem, mem)] = pid
-    # triple term: points of each plane that lie on hyperplane k and the
-    # variety, for every (plane, k), from the unpacked variety columns
-    n_u = int(geo.u.sum())
-    Zu = np.unpackbits(geo.Z, axis=1, count=n_u).astype(np.int64)
-    plane_u = np.unpackbits(
-        geo.Z[geo.planes[:, 0]] & geo.Z[geo.planes[:, 1]], axis=1, count=n_u
-    )
-    Tline = plane_u.astype(np.int64) @ Zu.T  # (n_planes, N)
-    S = geo.S
+    # from the unpacked variety columns: every pair's section count, and the
+    # triple term, the points of each pencil's axis on hyperplane k, for
+    # every (pencil, k)
+    Zu = np.unpackbits(geo.Z, axis=1, count=int(geo.u.sum())).astype(np.int64)
+    S, P = geo.S, Zu @ Zu.T
+    assert np.array_equal(np.diagonal(P), S), "pair counts disagree with S"
+    Tline = (Zu[geo.planes[:, 0]] & Zu[geo.planes[:, 1]]) @ Zu.T
 
-    def triple_count(i, j, k):
-        """|H_i u H_j u H_k meet U| by inclusion-exclusion, for i < j and
-        an index, slice or array k of third hyperplanes."""
-        return (
-            S[i] + S[j] + S[k] - P[i, j] - P[i, k] - P[j, k]
-            + Tline[plane_id[i, j], k]
-        )
+    def triple_count(i, j, k, T):
+        """|H_i u H_j u H_k meet U| by inclusion-exclusion, for the triple
+        term T; i, j, k and T may be broadcast arrays."""
+        return S[i] + S[j] + S[k] - P[i, j] - P[i, k] - P[j, k] + T
 
     def on_variety(i, j, k):
         return np.bitwise_count(geo.Z[i] | geo.Z[j] | geo.Z[k]).sum(axis=-1)
 
-    # one pass over every pair i < j (grouped by pencil) against every k > j:
-    # the histogram, and every triple at the running maximum
-    hist_size = int(3 * S.max()) + 2
-    hist = np.zeros(hist_size, dtype=np.int64)
-    gmax = -1
-    argmax = []
+    # one pass per pencil, over its pairs i < j against every k > j: the
+    # histogram, and every (pencil, i, j, k) at the running maximum
+    hist = np.zeros(int(3 * S.max()) + 2, dtype=np.int64)
+    gmax, argmax = -1, []
+    ks = np.arange(N)
+    a, b = np.triu_indices(geo.planes.shape[1], 1)
     for pid in range(n_planes):
         mem = np.sort(geo.planes[pid])
-        for a in range(len(mem)):
-            for b in range(a + 1, len(mem)):
-                i, j = int(mem[a]), int(mem[b])
-                if j + 1 >= N:
-                    continue
-                counts = triple_count(i, j, slice(j + 1, None))
-                hist += np.bincount(counts, minlength=hist_size)
-                m = int(counts.max())
-                if m > gmax:
-                    gmax, argmax = m, []
-                if m == gmax:
-                    argmax.extend(
-                        (i, j, int(k) + j + 1) for k in np.nonzero(counts == m)[0]
-                    )
+        i, j = mem[a, None], mem[b, None]
+        counts = triple_count(i, j, ks, Tline[pid])
+        valid = ks > j
+        hist += np.bincount(counts[valid], minlength=len(hist))
+        m = int(counts[valid].max())
+        if m > gmax:
+            gmax, argmax = m, []
+        if m == gmax:
+            r, k = np.nonzero(valid & (counts == m))
+            argmax.append(np.column_stack((np.full_like(k, pid), i[r, 0], j[r, 0], k)))
+    argmax = np.concatenate(argmax)
 
-    total_check = int(hist.sum())
-    assert total_check == total, "histogram does not cover every triple"
-    if argmax:
-        enum = on_variety(*np.array(argmax).T)
-        assert (enum == gmax).all(), "argmax re-verification by enumeration failed"
+    assert int(hist.sum()) == total, "histogram does not cover every triple"
+    enum = on_variety(*argmax[:, 1:].T)
+    assert (enum == gmax).all(), "argmax re-verification by enumeration failed"
 
     f = standard_form(n, ctx)
+    pts = point_array(n, ctx)
 
-    def hyp(rank):
-        return Hyperplane(point_from_rank(rank, n, ctx).coords)
+    def hyps(*idx):
+        return tuple(Hyperplane(tuple(row)) for row in pts[list(idx)].tolist())
 
-    structure = {}
-    arr_dicts = []
-    for i, j, k in argmax:
-        arr = arrangement((hyp(i), hyp(j), hyp(k)), f)
-        label = (
-            f"{arr.pi_section.label}|" + ",".join(sorted(arr.tangency))
-        )
+    # labels from the counts: the common section is the pencil's axis when
+    # k is a member, else of dimension n - 3; each label's first triple is
+    # also classified
+    types = _section_types(n, q)
+    structure, arr_dicts = {}, []
+    for pid, i, j, k in argmax.tolist():
+        st = types[n - 2 if k in geo.planes[pid] else n - 3, int(Tline[pid, k])]
+        tang = tuple("tangent" if geo.tangent[h] else "non_tangent" for h in (i, j, k))
+        label = f"{st.label}|" + ",".join(sorted(tang))
+        arr = Arrangement(hyps(i, j, k), tang, st, n, q)
+        if label not in structure:
+            assert arr == arrangement(arr.hyperplanes, f), f"label mismatch at {(i, j, k)}"
         structure[label] = structure.get(label, 0) + 1
         if len(arr_dicts) < _ARGMAX_LIMIT:
             arr_dicts.append(arr.to_json_dict(count=gmax))
@@ -353,8 +357,8 @@ def exhaustive_triples(
     verified = 0
     for _ in range(verify_samples):
         i, j, k = sorted(int(x) for x in rng.choice(N, size=3, replace=False))
-        internal = int(triple_count(i, j, k))
-        rep = intersect_count_arrangement(arrangement((hyp(i), hyp(j), hyp(k)), f), f)
+        internal = int(triple_count(i, j, k, (Zu[i] & Zu[j] & Zu[k]).sum()))
+        rep = intersect_count_arrangement(arrangement(hyps(i, j, k), f), f)
         enum = int(on_variety(i, j, k))
         assert internal == rep.count == enum, (
             f"triple count mismatch at {(i, j, k)}: "
@@ -362,7 +366,6 @@ def exhaustive_triples(
         )
         verified += 1
 
-    mf = max_cubic_intersection(n, q)
     return SearchReport(
         n=n,
         q=q,
@@ -411,6 +414,7 @@ def pencil_triples_scan(n, q, budget=DEFAULT_POINT_BUDGET):
     feasible where the full triple space does not (the pencil count grows
     like N^2, not N^3).
     """
+    mf = max_cubic_intersection(n, q)  # refuses n < 4 before any work
     geo = build_geometry(n, q, budget=budget)
     tmem = np.count_nonzero(geo.tangent[geo.planes], axis=1)  # tangent members
     # S takes one value on tangent and one on non-tangent hyperplanes (as
@@ -422,7 +426,6 @@ def pencil_triples_scan(n, q, budget=DEFAULT_POINT_BUDGET):
     best_per_plane = top3 - 2 * geo.plane_count
     best = int(best_per_plane.max())
     is_best = best_per_plane == best
-    mf = max_cubic_intersection(n, q)
     return PencilScanReport(
         n=n,
         q=q,

@@ -221,6 +221,31 @@ def test_verify_csv_format(capsys):
     assert out.splitlines()[0] == "name,passed,detail"
 
 
+@pytest.mark.parametrize(
+    "argv,header",
+    [
+        (("count", "--q", "2", "--n", "3"), "quantity,value"),
+        (
+            ("verify", "--suite", "sequences", "--q", "3", "--n", "6"),
+            "name,passed,detail",
+        ),
+        (
+            ("search", "--q", "2", "--n", "4", "--mode", "random", "--trials", "5"),
+            "value,count",
+        ),
+    ],
+)
+def test_csv_rows_end_in_newline(tmp_path, capsys, argv, header):
+    # every command's CSV rows end in \n, never \r\n, and --output writes
+    # the bytes that go to stdout
+    out_path = tmp_path / "out.csv"
+    code, out = run_cli(capsys, *argv, "--format", "csv", "--output", str(out_path))
+    assert code == 0
+    assert "\r" not in out
+    assert out.startswith(header + "\n") and out.endswith("\n")
+    assert out_path.read_bytes() == out.encode()
+
+
 def test_env_budget_override(capsys, monkeypatch):
     monkeypatch.setenv("HERMVAR_BUDGET", "10")
     code, out = run_cli(capsys, "count", "--q", "2", "--n", "4")

@@ -235,12 +235,13 @@ def test_pencil_triples_match_popcounts(n, q):
     # popcount of the OR of the three incidence rows, and every pair and
     # the triple meet in the axis
     from hermvar.bounds import cone_counts
-    from hermvar.projgeom import point_from_rank
+    from hermvar.projgeom import point_array
     from hermvar.search import build_geometry
 
     ctx = make_field(q)
     f = standard_form(n, ctx)
     geo = build_geometry(n, q)
+    pts = point_array(n, ctx)
     for axis in cone_counts(n, q):  # U, Pi0U, Pi1U
         pid = int(np.flatnonzero(geo.plane_count == axis)[0])
         ranks = geo.planes[pid]
@@ -250,7 +251,7 @@ def test_pencil_triples_match_popcounts(n, q):
         assert len(patterns) >= 1
         for k in patterns:
             idx = tan[:k] + non[: 3 - k]
-            hyps = tuple(Hyperplane(point_from_rank(r, n, ctx).coords) for r in idx)
+            hyps = tuple(Hyperplane(tuple(pts[r].tolist())) for r in idx)
             arr = arrangement(hyps, f)
             assert arr.tangency.count("tangent") == k
             rep = intersect_count_arrangement(arr, f)
@@ -600,7 +601,7 @@ def test_non_extremal_patterns_strictly_below_max(n, q):
     # codimension-3 triples, always fall strictly below the maximum
     from hermvar.cubics import max_cubic_intersection
     from hermvar.hermitian import classify_hyperplane
-    from hermvar.projgeom import point_from_rank, num_points
+    from hermvar.projgeom import num_points, point_array
 
     ctx = make_field(q)
     f = standard_form(n, ctx)
@@ -623,12 +624,11 @@ def test_non_extremal_patterns_strictly_below_max(n, q):
     # random codimension-3 triples
     rng = np.random.default_rng(17 * n + q)
     N = num_points(n, q)
+    pts = point_array(n, ctx)
     checked = 0
     while checked < 100:
         idx = sorted(int(x) for x in rng.choice(N, size=3, replace=False))
-        triple = tuple(
-            Hyperplane(point_from_rank(r, n, ctx).coords) for r in idx
-        )
+        triple = tuple(Hyperplane(tuple(pts[r].tolist())) for r in idx)
         common = intersect_hyperplanes(triple, ctx)
         if common.dim != n - 3:
             continue

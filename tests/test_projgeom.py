@@ -18,7 +18,6 @@ from hermvar.projgeom import (
     num_points,
     pencil_through,
     point_array,
-    point_from_rank,
     point_rank,
     point_rank_array,
     random_subspace,
@@ -66,10 +65,10 @@ def test_point_array_matches_stream(n, q):
 @pytest.mark.parametrize("n,q", [(2, 2), (3, 3), (4, 2)])
 def test_point_rank_roundtrip(n, q):
     ctx = make_field(q)
+    arr = point_array(n, ctx)
     for i, p in enumerate(enumerate_points(n, ctx)):
         assert point_rank(p.coords, ctx) == i
-        assert point_from_rank(i, n, ctx) == p
-    arr = point_array(n, ctx)
+        assert tuple(arr[i].tolist()) == p.coords  # rank i is row i
     assert np.array_equal(point_rank_array(arr, ctx), np.arange(arr.shape[0]))
 
 
@@ -190,7 +189,7 @@ def test_row_combinations_match_scalar_loops(n, q):
     # element and in order, against scalar loops over the coefficient points
     ctx = make_field(q)
     rng = np.random.default_rng(10 * n + q)
-    P = point_from_rank(int(rng.integers(num_points(n, q))), n, ctx)
+    P = ProjPoint(tuple(point_array(n, ctx)[rng.integers(num_points(n, q))].tolist()))
     basis = nullspace([P.coords], ctx)
     want = scalar_combinations(enumerate_points(n - 1, ctx), basis, ctx)
     assert [h.covector for h in hyperplanes_through(P, ctx)] == want

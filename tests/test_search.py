@@ -6,15 +6,25 @@ import numpy as np
 import pytest
 
 from hermvar.bounds import cone_counts
-from hermvar.errors import BudgetExceeded
+from hermvar.cubics import arrangement
+from hermvar.errors import BudgetExceeded, ExceedsCap, NotPrimePower, OutOfRange
 from hermvar.field import make_field
-from hermvar.hermitian import contains, nondegenerate_count, standard_form, variety_mask
+from hermvar.hermitian import (
+    classify_section,
+    contains,
+    nondegenerate_count,
+    section_count,
+    standard_form,
+    variety_mask,
+)
 from hermvar.projgeom import (
+    Hyperplane,
     enumerate_hyperplanes,
     enumerate_points,
     intersect_hyperplanes,
     num_points,
     pencil_through,
+    point_array,
 )
 from hermvar.search import (
     build_geometry,
@@ -119,8 +129,26 @@ def test_build_geometry_totals():
         assert stages[key] >= 0
 
 
-def test_exhaustive_triples_n4_q2():
-    rep = exhaustive_triples(4, 2, verify_samples=300, seed=3)
+@pytest.fixture(scope="module")
+def triples_4_2():
+    """exhaustive_triples(4, 2) with 300 samples, and the number of
+    arrangement() calls it made."""
+    from hermvar import search
+
+    calls = []
+
+    def counted(hyperplanes, f):
+        calls.append(hyperplanes)
+        return arrangement(hyperplanes, f)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "arrangement", counted)
+        rep = exhaustive_triples(4, 2, verify_samples=300, seed=3)
+    return rep, len(calls)
+
+
+def test_exhaustive_triples_n4_q2(triples_4_2):
+    rep, _ = triples_4_2
     assert rep.total_triples == math.comb(341, 3) == 6_550_610
     assert sum(rep.histogram.values()) == rep.total_triples
     assert rep.global_max == max(rep.histogram)
@@ -138,6 +166,104 @@ def test_exhaustive_triples_n4_q2():
     assert first["count"] == 111 and len(first["covectors"]) == 3
     assert rep.stages["pencils"] == 5797  # build_geometry's, not serialized
     assert "stages" not in rep.to_json_dict()
+
+
+def test_argmax_arrangements_match_scalar_arrangement(triples_4_2):
+    # every listed argmax entry, labelled from counts, is what the scalar
+    # classification of its covectors gives
+    rep, _ = triples_4_2
+    f = standard_form(4, make_field(2))
+    assert len(rep.argmax_arrangements) == 1000
+    for d in rep.argmax_arrangements:
+        hyps = tuple(Hyperplane(tuple(c)) for c in d["covectors"])
+        assert arrangement(hyps, f).to_json_dict(count=d["count"]) == d
+
+
+def test_exhaustive_triples_classifies_only_first_of_each_label(triples_4_2):
+    # one arrangement() per argmax label (one label at (4,2)) and one per
+    # sample, not one per argmax triple (14,080)
+    rep, calls = triples_4_2
+    assert calls <= len(rep.argmax_structure) + rep.samples_verified == 301
+
+
+def admitted_q():
+    """Every q that make_field accepts by default."""
+    out = []
+    for q in range(2, 257):
+        try:
+            make_field(q)
+        except (ExceedsCap, NotPrimePower):
+            continue
+        out.append(q)
+    return out
+
+
+def test_section_types_keys_unique():
+    # the (dimension, point count) key names one section type, for every
+    # admitted q; the table asserts no key repeats, and holds every type
+    from hermvar.search import _section_types
+
+    qs = admitted_q()
+    assert qs == [2, 3, 4, 5, 7, 8, 9, 11, 13]
+    for n in range(4, 10):
+        for q in qs:
+            table = _section_types(n, q)
+            assert len(table) == sum(
+                m + 1 - max(-1, 2 * m - n) for m in (n - 2, n - 3)
+            )
+            for (m, count), st in table.items():
+                assert st.m == m and section_count(st, q) == count
+
+
+@pytest.mark.parametrize("n,q", [(4, 2), (4, 3), (5, 2)])
+def test_section_types_match_classify_section(n, q):
+    # the triple search's labels: a pencil axis (dimension n - 2) of each
+    # shape, and seeded codimension-3 triples, take the table's type for
+    # their point count
+    from hermvar.search import _section_types
+
+    ctx = make_field(q)
+    f = standard_form(n, ctx)
+    geo = build_geometry(n, q)
+    table = _section_types(n, q)
+    pts = point_array(n, ctx)
+
+    def hyps(idx):
+        return [Hyperplane(tuple(pts[r].tolist())) for r in idx]
+
+    for shape in cone_counts(n, q):  # U, Pi0U, Pi1U
+        pid = int(np.flatnonzero(geo.plane_count == shape)[0])
+        axis = intersect_hyperplanes(hyps(geo.planes[pid, :2]), ctx)
+        assert axis.dim == n - 2
+        assert table[n - 2, shape] == classify_section(f, axis), shape
+    rng = np.random.default_rng(n * q)
+    checked = 0
+    while checked < 50:
+        idx = sorted(int(x) for x in rng.choice(geo.N, size=3, replace=False))
+        common = intersect_hyperplanes(hyps(idx), ctx)
+        if common.dim != n - 3:
+            continue
+        i, j, k = idx
+        count = int(np.bitwise_count(geo.Z[i] & geo.Z[j] & geo.Z[k]).sum())
+        assert table[n - 3, count] == classify_section(f, common), idx
+        checked += 1
+
+
+def test_n_below_4_refused_before_geometry(monkeypatch, capsys):
+    # the d = 3 maximum needs n >= 4: the searches refuse smaller n before
+    # building any geometry, and the CLI exits 2
+    from hermvar import cli, search
+
+    def no_geometry(*args, **kwargs):
+        raise AssertionError("build_geometry ran for n < 4")
+
+    monkeypatch.setattr(search, "build_geometry", no_geometry)
+    with pytest.raises(OutOfRange):
+        exhaustive_triples(3, 2)
+    with pytest.raises(OutOfRange):
+        pencil_triples_scan(3, 5)
+    assert cli.main(["search", "--q", "2", "--n", "3", "--mode", "triples"]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "OutOfRange"
 
 
 def test_exhaustive_triples_budget():

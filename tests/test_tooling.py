@@ -48,3 +48,20 @@ def test_traced_run_names_resolve():
     for mod, name in pairs:
         module = importlib.import_module(f"hermvar.{mod}")
         assert callable(getattr(module, name, None)), f"hermvar.{mod}.{name}"
+
+
+def test_no_unused_imports():
+    # every name a package module imports is used in that module, so a
+    # helper that lost its last caller does not linger as an import
+    files = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+    assert files
+    for path in files:
+        tree = ast.parse(path.read_text())
+        imported = {
+            (a.asname or a.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for a in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (path.name, sorted(imported - used))
