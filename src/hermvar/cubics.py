@@ -335,9 +335,9 @@ def max_cubic_intersection(n, q):
 
     The paper proves this is the maximum over cubic hypersurfaces only for
     q >= 7.  For even n the arrangement exists only when q^2 - q >= 3, so
-    not at q = 2; whether some cubic that is not a union of hyperplanes
-    still reaches this count there (117 at n=4, q=2) is settled neither by
-    the paper nor by this code."""
+    not at q = 2.  At q = 2 the count is not the maximum at all: the form
+    x_0^3 + ... + x_n^3 is itself a cubic and contains every point of U_n
+    (165 > 117 at n=4)."""
     if n < 4:
         raise OutOfRange(f"n={n} must be >= 4")
     if n % 2 == 0:

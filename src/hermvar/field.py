@@ -195,6 +195,13 @@ class FieldCtx:
         self.norm_table = self.mul_table[ar, frob[ar]]
         self.trace_table = self.add_table[ar, frob[ar]]
         self.subfield_mask = frob == ar
+        # norm_fibres[r]: every lam with N(lam) = r, in index order
+        self.norm_fibres = {
+            int(r): np.flatnonzero(self.norm_table == r).astype(np.uint8)
+            for r in np.flatnonzero(self.subfield_mask)
+        }
+        for lam in self.norm_fibres.values():
+            lam.setflags(write=False)
 
     def _check_invariants(self):
         Q, q = self.order, self.q
@@ -204,11 +211,9 @@ class FieldCtx:
         assert self.subfield_mask[self.norm_table].all(), "norm leaves subfield"
         assert self.subfield_mask[self.trace_table].all(), "trace leaves subfield"
         # norm maps nonzero elements onto the q-1 nonzero subfield elements,
-        # each hit exactly q+1 times
-        counts = np.bincount(self.norm_table[1:], minlength=Q)
-        sub_nz = self.subfield_mask & (np.arange(Q) != 0)
-        assert (counts[sub_nz] == q + 1).all(), "norm not (q+1)-to-1"
-        assert counts[~sub_nz].sum() == 0
+        # each hit exactly q+1 times, and only 0 has norm 0
+        sizes = {r: len(lam) for r, lam in self.norm_fibres.items()}
+        assert sizes == {r: 1 if r == 0 else q + 1 for r in sizes}, "norm not (q+1)-to-1"
 
     # -- scalar operations ------------------------------------------------
 
@@ -316,13 +321,8 @@ def trace(ctx, a):
 
 
 def solve_norm(ctx, d):
-    """Smallest-index lam with lam^(q+1) = d, for nonzero subfield d.
-
-    Solvability is guaranteed by surjectivity of the norm map; failure is an
-    internal invariant violation, not a caller error.
-    """
+    """Smallest-index lam with lam^(q+1) = d, for nonzero subfield d: the
+    first of its norm fibre, which FieldCtx asserts has q+1 elements."""
     if d == 0 or not ctx.subfield_mask[d]:
         raise ValueError(f"d={d} is not a nonzero subfield element")
-    hits = np.nonzero(ctx.norm_table == d)[0]
-    assert hits.size > 0, "norm surjectivity violated"
-    return int(hits[0])
+    return int(ctx.norm_fibres[d][0])

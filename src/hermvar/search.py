@@ -49,6 +49,7 @@ from .hermitian import (
     standard_form,
     tangent_hyperplanes,
     variety_mask,
+    variety_prefixes,
 )
 from .projgeom import (
     Hyperplane,
@@ -245,6 +246,15 @@ def _section_types(n, q):
     return table
 
 
+def _count_product(a, b):
+    """a @ b as int64 for 0/1 matrices, multiplied in float64 because numpy
+    multiplies integer matrices without BLAS; exact, as asserted, while
+    every entry stays below 2^53."""
+    out = a.astype(np.float64) @ b.astype(np.float64)
+    assert out.max(initial=0) < 2**53, "float64 counts would not be exact"
+    return out.astype(np.int64)
+
+
 @dataclass
 class SearchReport:
     n: int
@@ -293,9 +303,9 @@ def exhaustive_triples(
     # triple term, the points of each pencil's axis on hyperplane k, for
     # every (pencil, k)
     Zu = np.unpackbits(geo.Z, axis=1, count=int(geo.u.sum())).astype(np.int64)
-    S, P = geo.S, Zu @ Zu.T
+    S, P = geo.S, _count_product(Zu, Zu.T)
     assert np.array_equal(np.diagonal(P), S), "pair counts disagree with S"
-    Tline = (Zu[geo.planes[:, 0]] & Zu[geo.planes[:, 1]]) @ Zu.T
+    Tline = _count_product(Zu[geo.planes[:, 0]] & Zu[geo.planes[:, 1]], Zu.T)
 
     def triple_count(i, j, k, T):
         """|H_i u H_j u H_k meet U| by inclusion-exclusion, for the triple
@@ -544,37 +554,48 @@ class RandomCubicReport:
         return _json_fields(self, "random_cubics")
 
 
-def _monomial_rows(pts, exps, ctx):
-    """Values of the cubic monomials exps at the rows of pts, one row per
-    monomial, by shared prefixes: each quadratic x_a x_b once, each cubic
-    as one quadratic times one variable."""
-    cols = [np.ascontiguousarray(pts[:, i]) for i in range(pts.shape[1])]
-    rows = np.empty((len(exps), len(pts)), dtype=np.uint8)
-    quads = {}
+def _monomial_rows(pre, exps, ctx):
+    """Values at the rows of pre, prefixes (x_0 .. x_{n-1}), of the cubic
+    monomials exps in x_0 .. x_n with x_n := 1, one row per monomial, by
+    shared prefixes: each product of two variables once, each of three as
+    one of two times one variable."""
+    n = pre.shape[1]
+    prods = {(i,): np.ascontiguousarray(pre[:, i]) for i in range(n)}
+    prods[()] = np.ones(len(pre), dtype=np.uint8)
+    rows = np.empty((len(exps), len(pre)), dtype=np.uint8)
     for r, exp in enumerate(exps):
-        a, b, c = (i for i, e in enumerate(exp) for _ in range(e))
-        if (a, b) not in quads:
-            quads[a, b] = ctx.vmul(cols[a], cols[b])
-        rows[r] = ctx.vmul(quads[a, b], cols[c])
+        key = tuple(i for i, e in enumerate(exp[:n]) for _ in range(e))
+        for k in range(2, len(key) + 1):
+            if key[:k] not in prods:
+                prods[key[:k]] = ctx.vmul(prods[key[: k - 1]], prods[key[k - 1 : k]])
+        rows[r] = prods[key]
     return rows
 
 
-def _value_digits(polys, pts, ctx):
-    """Digits of every cubic's values at the rows of pts, all cubics at
-    once: yields, one chunk of points at a time, a float32 array Y of shape
-    (cubics, m, points) whose entry Y[t, j, k] is, mod p, digit j of cubic
-    t's value at point k of the chunk.
+def _fibre_values(polys, n, ctx, stages):
+    """Digits of every cubic's values at every point of U_n, all cubics at
+    once, by prefixes and norm fibres (hermitian.variety_prefixes): yields,
+    one norm class r of one chunk of prefixes at a time, (pre, lam, Y) with
+    lam = ctx.norm_fibres[r] and Y a float32 array of shape
+    (cubics, len(lam), m, len(pre)) whose entry Y[t, l, j, i] is, mod p,
+    digit j of cubic t's value at the point (pre[i], lam[l]).
 
-    Multiplying by a constant is an m x m matrix over F_p on base-p digit
-    vectors (ctx.mul_matrices), so the digits are A @ D mod p.  A has one
-    row block per cubic and one column block per monomial, D the digit
-    planes of the monomial values at the chunk's points.  The product runs
-    in float32 and is exact while every sum, at most R m (p-1)^2 for R
-    monomials, stays below 2^24.  A chunk's arrays take about
-    _EVAL_CHUNK_BYTES at most, and at most R bytes per point of pts, the
-    size of a matrix of every monomial's value at every point."""
-    p, m = ctx.p, ctx.ndigits
-    exps = monomial_exponents(polys[0].n, 3)
+    Substituting x_n := lam turns the cubic sum c_e x^e into a polynomial in
+    the prefix with coefficient c_e lam^(e_n) at the monomial x'^(e[:n])
+    (0^0 = 1, so the class r = 0, lam = 0, keeps the e_n = 0 terms).  So a
+    class's cubics and fibre elements are the rows of one coefficient matrix
+    over the R prefix monomials, constant term included.  Multiplying by a
+    constant is an m x m matrix over F_p on base-p digit vectors
+    (ctx.mul_matrices), so the digits are A @ D mod p: A has one row block
+    per (cubic, lam) and one column block per monomial, D the digit planes
+    of the monomial values at the class's prefixes.  The product runs in
+    float32 and is exact while every sum, at most R m (p-1)^2, stays below
+    2^24.  A chunk's arrays take about _EVAL_CHUNK_BYTES at most, and at
+    most R bytes per point of U_n, the size of a matrix of every monomial's
+    value at every point.  The walk's time and the work counts are added
+    into the dict stages."""
+    p, m, q = ctx.p, ctx.ndigits, ctx.q
+    exps = monomial_exponents(n, 3)
     R, T = len(exps), len(polys)
     assert R * m * (p - 1) ** 2 < 2**24, "float32 sums would not be exact"
     coef = np.zeros((T, R), dtype=np.uint8)
@@ -582,36 +603,58 @@ def _value_digits(polys, pts, ctx):
     for t, C in enumerate(polys):
         for e, c in C.monomials:
             coef[t, col[e]] = c
-    # A[t*m + i, j*R + r]: digit i of coefficient r of cubic t times p^j
-    A = ctx.mul_matrices[coef].transpose(0, 2, 3, 1).reshape(T * m, m * R)
-    A = A.astype(np.float32)
-    # bytes per point: monomials, digit planes, product, its rounding, mask
-    per_point = 2 * R + 4 * m * R + 9 * T * m
-    chunk = max(1, min(R * len(pts), _EVAL_CHUNK_BYTES) // per_point)
-    for a in range(0, len(pts), chunk):
-        D = ctx.digit_planes(_monomial_rows(pts[a : a + chunk], exps, ctx))
-        yield (A @ D.reshape(m * R, -1)).reshape(T, m, -1)
+    # x^(e_n) for every field element x and prefix monomial, from x^0 .. x^3
+    x = np.arange(ctx.order, dtype=np.uint8)
+    powers = [np.ones_like(x)]
+    for _ in range(3):
+        powers.append(ctx.vmul(powers[-1], x))
+    lam_pow = np.stack(powers, axis=1)[:, [e[n] for e in exps]]
+    A = {}
+    for r, lam in ctx.norm_fibres.items():
+        c = ctx.mul_table[coef[:, None, :], lam_pow[lam]]
+        # A[(t*F + l)*m + i, j*R + k]: digit i of coefficient k of cubic t
+        # at lam_l, times p^j
+        A[r] = ctx.mul_matrices[c].transpose(0, 1, 3, 4, 2).reshape(-1, m * R)
+        A[r] = A[r].astype(np.float32)
+    # bytes per prefix: monomials, digit planes, product, its rounding, mask
+    per_prefix = 2 * R + 4 * m * R + 9 * T * (q + 1) * m
+    chunk = max(1, min(R * nondegenerate_count(n, q), _EVAL_CHUNK_BYTES) // per_prefix)
+    t0 = time.time()
+    for pre, r in variety_prefixes(n, ctx, chunk):
+        # group the chunk's prefixes by norm class
+        order = np.argsort(r, kind="stable")
+        pre, r = pre[order], r[order]
+        cuts = np.flatnonzero(r[1:] != r[:-1]) + 1
+        stages["walk_s"] += time.time() - t0
+        stages["chunks"] += 1
+        stages["prefixes"] += len(pre)
+        D = ctx.digit_planes(_monomial_rows(pre, exps, ctx)).reshape(m * R, -1)
+        for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(pre)]):
+            lam = ctx.norm_fibres[int(r[a])]
+            stages["points"] += len(lam) * int(b - a)
+            Y = A[int(r[a])] @ D[:, a:b]
+            yield pre[a:b], lam, Y.reshape(T, len(lam), m, -1)
+        t0 = time.time()
+    stages["walk_s"] += time.time() - t0
 
 
-def _zero_counts(polys, pts, ctx):
-    """Zeros of each cubic among the rows of pts, and the number of point
-    chunks they were evaluated in."""
+def _zero_counts(polys, n, ctx, stages):
+    """Zeros of each cubic on U_n; the prefix walk's time and the counts of
+    prefixes, points and chunks are added into the dict stages."""
     p = ctx.p
     counts = np.zeros(len(polys), dtype=np.int64)
-    chunks = 0
-    for Y in _value_digits(polys, pts, ctx):
+    for _, _, Y in _fibre_values(polys, n, ctx, stages):
         # in float32, an integer y < 2^24 is a multiple of p iff
         # p * rint(y / p) == y
         Z = Y / p
         np.rint(Z, out=Z)
         Z *= p
         digit_zero = Z == Y
-        zero = digit_zero[:, 0]
+        zero = digit_zero[:, :, 0]
         for j in range(1, ctx.ndigits):
-            zero &= digit_zero[:, j]
-        counts += np.count_nonzero(zero, axis=1)
-        chunks += 1
-    return counts, chunks
+            zero &= digit_zero[:, :, j]
+        counts += np.count_nonzero(zero.reshape(len(polys), -1), axis=1)
+    return counts
 
 
 def random_cubic_sample(
@@ -623,12 +666,16 @@ def random_cubic_sample(
     candidates and carry the full polynomial.
 
     Trial t draws its cubic from the seed sequence (seed, t).  Every
-    retained cubic is then evaluated on the points of U_n only (about 1/q
-    of P^n), all of them together, in one F_p matrix product per chunk of
-    points (see _zero_counts).  The call runs in one process; `workers` is
-    accepted and ignored.  The report's `stages` holds the wall time of the
-    linear-factor screen, the variety mask and the evaluation, and the
-    counts of points evaluated, trials batched and chunks."""
+    retained cubic is then evaluated on the points of U_n only, all of them
+    together, without a scan of P^n: U_n is walked as canonical prefixes
+    (x_0 .. x_{n-1}), about 1/q^2 of P^n, each with the norm fibre of its
+    last coordinate, and each norm class of a chunk of prefixes is one F_p
+    matrix product that gives every cubic's value at every point (prefix,
+    lam) of the class (see _fibre_values).  The call runs in one process;
+    `workers` is accepted and ignored.  The report's `stages` holds the
+    wall time of the linear-factor screen, the prefix walk and the rest of
+    the evaluation, and the counts of prefixes walked, points evaluated,
+    trials batched and prefix chunks."""
     t0 = time.time()
     ctx = make_field(q)
     N = num_points(n, q)
@@ -643,14 +690,12 @@ def random_cubic_sample(
             kept[t] = C
         else:
             discarded.append({"trial": t, "linear_factor": list(lf.covector)})
-    t1 = t2 = time.time()
-    counts, chunks, points = [], 0, 0
-    if kept:
-        upts = point_array(n, ctx)[variety_mask(standard_form(n, ctx))]
-        t2 = time.time()
-        counts, chunks = _zero_counts(list(kept.values()), upts, ctx)
-        points = len(upts)
-    t3 = time.time()
+    t1 = time.time()
+    stages = dict(walk_s=0.0, prefixes=0, points=0, chunks=0)
+    counts = _zero_counts(list(kept.values()), n, ctx, stages) if kept else []
+    t2 = time.time()
+    stages.update(screen_s=t1 - t0, eval_s=t2 - t1 - stages["walk_s"])
+    stages["trials_batched"] = len(kept)
     threshold = cubic_bound_closed(n, q)
     hist = {}
     exceed = []
@@ -672,15 +717,8 @@ def random_cubic_sample(
         exceedances=exceed,
         max_count=max(hist, default=-1),
         threshold_asserted=q >= 7,
-        wall_time_s=t3 - t0,
-        stages={
-            "screen_s": t1 - t0,
-            "mask_s": t2 - t1,
-            "eval_s": t3 - t2,
-            "points": points,
-            "trials_batched": len(kept),
-            "chunks": chunks,
-        },
+        wall_time_s=t2 - t0,
+        stages=stages,
     )
 
 

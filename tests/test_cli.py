@@ -154,8 +154,9 @@ def test_search_random_deterministic(tmp_path, capsys):
     d1, d2 = json.loads(out1), json.loads(out2)
     stages = d1["timestamp"]["stages"]  # volatile: stage times and work counts
     assert set(stages) == {
-        "screen_s", "mask_s", "eval_s", "points", "trials_batched", "chunks",
+        "screen_s", "walk_s", "eval_s", "prefixes", "points", "trials_batched", "chunks",
     }
+    assert stages["prefixes"] == 85  # |P^3| at q = 2, the prefixes of U_4
     assert stages["points"] == 165  # |U_4| at q = 2
     assert stages["trials_batched"] == d1["report"]["retained"] == 20
     assert stages["chunks"] >= 1

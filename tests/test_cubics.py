@@ -635,3 +635,17 @@ def test_non_extremal_patterns_strictly_below_max(n, q):
         rep = intersect_count_arrangement(arrangement(triple, f), f)
         assert rep.count < want, idx
         checked += 1
+
+
+@pytest.mark.parametrize("n,q,points", [(4, 2, 165), (3, 3, 280), (4, 3, 2440)])
+def test_fermat_form_meets_every_variety_point(n, q, points):
+    # the Fermat form of degree q+1 is the Hermitian form itself, so it
+    # meets U_n in all |U_n| points; at q = 2 it is a cubic, and 165 exceeds
+    # max_cubic_intersection(4, 2) = 117
+    ctx = make_field(q)
+    f = standard_form(n, ctx)
+    unit = [tuple(q + 1 if i == j else 0 for j in range(n + 1)) for i in range(n + 1)]
+    fermat = make_hypersurface(dict.fromkeys(unit, 1), n, q + 1, ctx)
+    assert intersect_count_enum(fermat, f) == nondegenerate_count(n, q) == points
+    if q == 2:
+        assert points > max_cubic_intersection_alias(n, q) == 117

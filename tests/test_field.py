@@ -110,6 +110,10 @@ def test_norm_onto_subfield(q):
         hits[n] = hits.get(n, 0) + 1
     assert len(hits) == q - 1
     assert all(c == q + 1 for c in hits.values())
+    # the fibres: every element of each norm, in index order
+    want = {r: [a for a in ctx.elements() if ctx.norm(a) == r] for r in ctx.subfield_elements()}
+    assert {r: lam.tolist() for r, lam in ctx.norm_fibres.items()} == want
+    assert want[0] == [0]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])

@@ -25,6 +25,7 @@ from hermvar.hermitian import (
     tangent_hyperplanes,
     tangents_through_count,
     variety_mask,
+    variety_prefixes,
 )
 from hermvar.projgeom import (
     Hyperplane,
@@ -202,6 +203,30 @@ def test_variety_mask():
     pts = list(enumerate_points(4, ctx))
     for i in (0, 1, 17, 100, 340):
         assert bool(mask[i]) == contains(f, pts[i])
+
+
+@pytest.mark.parametrize(
+    "n,q",
+    [
+        (n, q)
+        for n in (2, 3, 4)
+        for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)
+        if num_points(n, q) <= num_points(4, 7)
+    ],
+)
+def test_variety_prefixes_expand_to_variety(n, q):
+    # prefixes x norm fibres, expanded in order, list U_n row for row in the
+    # canonical order of the P^n scan; chunks cross the pivot blocks
+    ctx = make_field(q)
+    rows, chunks = [], 0
+    for pre, r in variety_prefixes(n, ctx, chunk=997):
+        fibres = [ctx.norm_fibres[int(x)] for x in r]
+        pre = np.repeat(pre, [len(lam) for lam in fibres], axis=0)
+        rows.append(np.column_stack((pre, np.concatenate(fibres))))
+        chunks += 1
+    assert chunks == -(-num_points(n - 1, q) // 997)
+    want = point_array(n, ctx)[variety_mask(standard_form(n, ctx))]
+    assert np.array_equal(np.concatenate(rows), want)
 
 
 def test_tangent_hyperplane_example():

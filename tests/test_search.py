@@ -465,25 +465,53 @@ def _kernel_cubics(n, ctx, rng):
     "n,q", [(3, q) for q in (2, 3, 4, 5, 7, 8)] + [(2, q) for q in (9, 11, 13)]
 )
 def test_batched_values_match_eval_poly_at(n, q):
-    # every digit of every value at every point of P^n, for p = 2 .. 13 and
-    # m = 2, 4, 6, against the table evaluation one cubic at a time
+    # every digit of every value at every point of U_n, for p = 2 .. 13 and
+    # m = 2, 4, 6, against the table evaluation one cubic at a time; the
+    # blocks' points are U_n, each once, and take every norm class
     from hermvar import search
     from hermvar.cubics import eval_poly_at
-    from hermvar.projgeom import point_array
+    from hermvar.projgeom import point_rank_array
 
     ctx = make_field(q)
     p, m = ctx.p, ctx.ndigits
-    pts = point_array(n, ctx)
     polys = _kernel_cubics(n, ctx, np.random.default_rng(q))
-    blocks = list(search._value_digits(polys, pts, ctx))
-    assert len(blocks) > 1  # more than one point chunk
-    digits = np.concatenate(blocks, axis=-1).astype(np.int64) % p
-    values = np.einsum("tjk,j->tk", digits, p ** np.arange(m))
+    stages = dict(walk_s=0.0, prefixes=0, points=0, chunks=0)
+    pts, values = [], []
+    for pre, lam, Y in search._fibre_values(polys, n, ctx, stages):
+        assert Y.shape == (len(polys), len(lam), m, len(pre))
+        digits = Y.astype(np.int64) % p
+        values.append(np.einsum("tljk,j->tlk", digits, p ** np.arange(m)).reshape(len(polys), -1))
+        pts.append(np.column_stack((np.tile(pre, (len(lam), 1)), np.repeat(lam, len(pre)))))
+    pts, values = np.concatenate(pts), np.concatenate(values, axis=1)
     want = np.stack([eval_poly_at(C, pts, ctx) for C in polys])
     assert np.array_equal(values, want)
-    counts, chunks = search._zero_counts(polys, pts, ctx)
+    order = np.argsort(point_rank_array(pts, ctx))
+    assert np.array_equal(pts[order], point_array(n, ctx)[variety_mask(standard_form(n, ctx))])
+    assert stages["chunks"] > 1  # more than one prefix chunk
+    assert stages["prefixes"] == num_points(n - 1, q)
+    assert stages["points"] == len(pts) == nondegenerate_count(n, q)
+    assert (pts[:, n] == 0).any()  # the r = 0 class
+    counts = search._zero_counts(polys, n, ctx, dict.fromkeys(stages, 0))
     assert counts.tolist() == (want == 0).sum(axis=1).tolist()
-    assert chunks == len(blocks)
+
+
+def test_random_cubic_sample_never_scans_projective_space(monkeypatch):
+    # the random-cubic path walks U_n by prefixes and norm fibres: with the
+    # scan of P^n and the point array unavailable it gives the same report
+    from hermvar import hermitian, search
+
+    want = random_cubic_sample(4, 3, trials=8, seed=3)
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("random_cubic_sample scanned P^n")
+
+    for mod in (search, hermitian):
+        monkeypatch.setattr(mod, "variety_mask", no_scan)
+        monkeypatch.setattr(mod, "point_array", no_scan)
+    got = random_cubic_sample(4, 3, trials=8, seed=3)
+    assert got.to_json_dict() == want.to_json_dict()
+    assert got.retained > 0 and got.stages["points"] == nondegenerate_count(4, 3)
+    assert got.stages["prefixes"] == num_points(3, 3)
 
 
 def test_report_serialization(tmp_path):
