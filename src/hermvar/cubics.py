@@ -26,15 +26,14 @@ from .errors import (
     PreconditionViolated,
 )
 from .hermitian import (
-    _CHUNK,
     DEFAULT_POINT_BUDGET,
     classify_hyperplane,
     classify_hyperplanes,
     classify_section,
     eval_form_at,
+    form_scan,
     nondegenerate_count,
     section_count,
-    variety_mask,
 )
 from .projgeom import (
     Hyperplane,
@@ -194,8 +193,9 @@ def _horner(terms, cols, ctx):
 def eval_poly_at(C, pts, ctx):
     """Vectorized values of the form at each row of a point-index array,
     evaluated by shared prefixes (a dense quinary cubic costs 20 vmul,
-    35 vscale and 34 vadd).  intersect_count_enum passes only the rows
-    where the Hermitian form vanishes."""
+    35 vscale and 34 vadd): the per-point oracle, which the enumerations of
+    lines, planes and hyperplanes call; intersect_count_enum evaluates by
+    last-coordinate parts instead."""
     cols = [np.ascontiguousarray(pts[:, i]) for i in range(C.n + 1)]
     return _horner(C.monomials, cols, ctx)
 
@@ -239,16 +239,31 @@ def restrict_poly(C, basis, ctx):
 
 
 def intersect_count_enum(C, f, budget=DEFAULT_POINT_BUDGET):
-    """|V(C) meet V(f)| by scanning all points of P^n in one process: the
-    form is evaluated at every point (variety_mask, which checks the
-    budget), and C, by shared prefixes, only at the form's zeros, _CHUNK
-    rows at a time."""
-    mask = variety_mask(f, budget)
-    zeros = point_array(f.n, f.ctx).compress(mask, axis=0)
-    return sum(
-        int(np.count_nonzero(eval_poly_at(C, zeros[a : a + _CHUNK], f.ctx) == 0))
-        for a in range(0, len(zeros), _CHUNK)
-    )
+    """|V(C) meet V(f)| by evaluating the form at every point of P^n
+    (form_scan, which checks the budget) and C at each of its zeros, in one
+    process and without a point array.
+
+    C = sum_k x_n^k C_k(x_0 .. x_{n-1}): each C_k is evaluated by shared
+    prefixes once per prefix of a chunk, and C at a zero (p, lam) by Horner
+    in lam over C_d(p) .. C_0(p).  e_n is a zero iff H[n][n] = 0, and lies
+    on C iff C has no x_n^d term."""
+    ctx, n, d = f.ctx, f.n, C.degree
+    top = dict(C.monomials).get((0,) * n + (d,), 0)  # C_d, the value at e_n
+    parts = {}
+    for exp, c in C.monomials:
+        parts.setdefault(exp[n], []).append((exp[:n], c))
+    count = int(f.matrix[n][n] == 0 and top == 0)
+    for pre, vals in form_scan(f, budget):
+        i, lam = np.divmod(np.flatnonzero(vals == 0), ctx.order)
+        lam = lam.astype(np.uint8)
+        cols = [np.ascontiguousarray(pre[:, j]) for j in range(n)]
+        acc = np.full(len(i), top, dtype=np.uint8)
+        for k in range(d - 1, -1, -1):
+            acc = ctx.vmul(acc, lam)
+            if k in parts:
+                acc = ctx.vadd(acc, _horner(parts[k], cols, ctx)[i])
+        count += int(np.count_nonzero(acc == 0))
+    return count
 
 
 # -- arrangements -----------------------------------------------------------

@@ -24,7 +24,6 @@ from .projgeom import (
     matrix_rank,
     normalize_rows,
     num_points,
-    point_array,
     point_rows,
     rref,
 )
@@ -247,18 +246,42 @@ def eval_form_at(f, pts):
     return acc
 
 
-def variety_mask(f, budget=DEFAULT_POINT_BUDGET):
-    """Boolean mask over the canonical point order: True iff on the variety.
-    The one chunked scan of P^n; the budget is checked first."""
-    N = num_points(f.n, f.ctx.q)
+def form_scan(f, budget=DEFAULT_POINT_BUDGET):
+    """The form's value at every point of P^n but e_n, without a point
+    array; the budget on N is checked first.
+
+    Every point but e_n is a prefix p, a row of point_array(n - 1), followed
+    by a last coordinate lam, and its rank is rank(p) * Q + lam.  There the
+    form is A(p) + Tr(lam b(p)) + h N(lam), with A(p) its value at (p, 0),
+    b(p) = sum_{j<n} H[n][j] p_j^q and h = H[n][n], so one (Q^2, Q) table
+    row, T[A * Q + b], holds the values at all Q points of a prefix.
+    Yields (pre, vals), ceil(_CHUNK / Q) prefixes at a time: vals[i, lam]
+    is the value at (pre[i], lam), and the raveled vals follow the
+    canonical point order.  The value at e_n is h."""
+    ctx, n = f.ctx, f.n
+    Q = ctx.order
+    N = num_points(n, ctx.q)
     if N > budget:
         raise BudgetExceeded(N, budget)
-    pts = point_array(f.n, f.ctx)
-    out = np.empty(N, dtype=bool)
-    for a in range(0, N, _CHUNK):
-        b = min(a + _CHUNK, N)
-        out[a:b] = eval_form_at(f, pts[a:b]) == 0
-    return out
+    H = f.matrix
+    rest = ctx.add_table[
+        ctx.trace_table[ctx.mul_table], ctx.mul_table[H[n][n], ctx.norm_table]
+    ]
+    T = ctx.add_table[:, rest].reshape(Q * Q, Q)
+    M = num_points(n - 1, ctx.q)
+    chunk = -(-_CHUNK // Q)
+    for a in range(0, M, chunk):
+        pre = point_rows(n - 1, ctx, a, min(a + chunk, M))
+        A = eval_form_at(f, np.pad(pre, ((0, 0), (0, 1))))
+        b = combine_rows(ctx.vfrob(pre), [[c] for c in H[n][:n]], ctx)[:, 0]
+        yield pre, T[A.astype(np.intp) * Q + b]
+
+
+def variety_mask(f, budget=DEFAULT_POINT_BUDGET):
+    """Boolean mask over the canonical point order: True iff on the variety.
+    The form_scan's zeros, then e_n's bit (on the variety iff H[n][n] = 0)."""
+    masks = [vals.ravel() == 0 for _, vals in form_scan(f, budget)]
+    return np.concatenate(masks + [np.array([f.matrix[f.n][f.n] == 0])])
 
 
 def variety_prefixes(n, ctx, chunk):
@@ -281,9 +304,11 @@ def variety_prefixes(n, ctx, chunk):
 
 
 def count_points_enum(f, budget=DEFAULT_POINT_BUDGET, workers=1):
-    """Exact |V(f)(F_{q^2})| by scanning every point of P^n, in one process;
+    """Exact |V(f)(F_{q^2})| by evaluating the form at every point of P^n
+    (form_scan, then e_n), in one process and without a mask of P^n;
     `workers` is accepted and ignored."""
-    return int(np.count_nonzero(variety_mask(f, budget)))
+    on = sum(int(np.count_nonzero(vals == 0)) for _, vals in form_scan(f, budget))
+    return on + (f.matrix[f.n][f.n] == 0)
 
 
 # -- tangency and sections ---------------------------------------------------

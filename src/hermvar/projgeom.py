@@ -105,8 +105,9 @@ def point_array(n, ctx):
 
     Cached per (n, q); treat the result as read-only.  It is built one
     pivot block at a time and concatenated: built in place, the same array
-    left the scans of P^n that follow it about 20% slower (enum_scan at
-    (4,7)), an effect of the allocator's state after the build.
+    left the enumeration oracles that run after it slower (enum_scan at
+    (4,7), about 9%, though they do not read it), an effect of the
+    allocator's state after the build.
     """
     key = (n, ctx.q)
     arr = _POINT_ARRAYS.get(key)
@@ -120,23 +121,26 @@ def point_array(n, ctx):
     return arr
 
 
+_ROW_STEP = 1 << 18  # rows whose digits point_rows computes at once
+
+
 def point_rows(n, ctx, a, b):
     """Rows a .. b-1 of point_array(n, ctx), built without the whole array
     and not cached: in each pivot block k, the coordinates after the pivot
-    are the block offset's base-Q digits."""
+    are the block offset's base-Q digits, computed _ROW_STEP rows at a time
+    so the int64 offsets take at most 2 MB."""
     Q = ctx.order
     offs = _rank_offsets(n, Q)
     out = np.zeros((b - a, n + 1), dtype=np.uint8)
     for k in range(n + 1):
-        lo, hi = max(a, offs[k]), min(b, offs[k + 1])
-        if lo >= hi:
-            continue
-        block = out[lo - a : hi - a]
-        block[:, k] = 1
-        t = np.arange(lo - offs[k], hi - offs[k], dtype=np.int64)
-        for j in range(n, k, -1):
-            block[:, j] = t % Q
-            t //= Q
+        for lo in range(max(a, offs[k]), min(b, offs[k + 1]), _ROW_STEP):
+            hi = min(lo + _ROW_STEP, b, offs[k + 1])
+            block = out[lo - a : hi - a]
+            block[:, k] = 1
+            t = np.arange(lo - offs[k], hi - offs[k], dtype=np.int64)
+            for j in range(n, k, -1):
+                block[:, j] = t % Q
+                t //= Q
     return out
 
 

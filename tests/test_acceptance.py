@@ -137,8 +137,8 @@ def test_criterion_4_tangent_incidence():
 
 @pytest.mark.parametrize(
     "n,q,want",
-    [(4, 2, 117), (5, 2, 453), (4, 3, 784), (4, 7, 50912)],
-    ids=["n4-q2", "n5-q2", "n4-q3", "n4-q7"],
+    [(4, 2, 117), (5, 2, 453), (4, 3, 784), (4, 7, 50912), (5, 7, 2_494_003)],
+    ids=["n4-q2", "n5-q2", "n4-q3", "n4-q7", "n5-q7"],
 )
 def test_criterion_5_extremal(n, q, want):
     ctx = make_field(q)
@@ -174,8 +174,9 @@ def test_criterion_5_extremal(n, q, want):
     arr = build_extremal(f)
     rep = intersect_count_arrangement(arr, f)
     assert rep.count == want, (n, q)
-    if (n, q) == (4, 7):
-        # full enumeration over the 5,884,901 points of P^4(F_49)
+    if q == 7:
+        # full enumeration over the 5,884,901 points of P^4(F_49) and the
+        # 288,360,150 points of P^5(F_49)
         cubic = expand_product(arr.hyperplanes, ctx)
         enum = intersect_count_enum(cubic, f)
         assert enum == want

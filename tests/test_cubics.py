@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from hermvar import hermitian
+from hermvar import cubics as cubics_mod
+from hermvar import hermitian, projgeom
 from hermvar.cubics import (
     _as_dict,
     _line_factors,
@@ -34,9 +35,11 @@ from hermvar.errors import (
 )
 from hermvar.field import make_field
 from hermvar.hermitian import (
+    HermitianForm,
     contains,
     count_points_enum,
     evaluate,
+    form_scan,
     nondegenerate_count,
     padded_standard_form,
     standard_form,
@@ -123,32 +126,60 @@ def test_eval_poly_at_matches_scalar():
             assert vals.tolist() == want, (n, q, C.monomials)
 
 
-@pytest.mark.parametrize("n,q,rank", [(3, 2, 4), (3, 3, 4), (4, 2, 5), (4, 2, 3)])
+def general_form(n, ctx, rng):
+    """A random Hermitian form M + M^(q)T with H[n][n] = 0, so e_n lies on
+    its variety, and with a nonzero entry off the diagonal in the last row,
+    so the form has a term linear in x_n."""
+    while True:
+        M = rng.integers(0, ctx.order, size=(n + 1, n + 1))
+        H = [
+            [ctx.add(int(M[i][j]), ctx.frobenius(int(M[j][i]))) for j in range(n + 1)]
+            for i in range(n + 1)
+        ]
+        H[n][n] = 0
+        if any(H[n][:n]):
+            return HermitianForm(tuple(tuple(r) for r in H), n, ctx)
+
+
+def enum_polys(n, ctx, rng):
+    """Random forms of degree 1-4, a product of three hyperplanes, a cubic
+    without x_n (it vanishes at e_n), and the pure powers x_n and x_n^3."""
+    polys = [random_hypersurface(n, d, ctx, rng) for d in (1, 2, 3, 3, 4)]
+    polys.append(expand_product(random_triple(n, ctx, rng), ctx))
+    head = random_hypersurface(n - 1, 3, ctx, rng)
+    polys.append(make_hypersurface({e + (0,): c for e, c in head.monomials}, n, 3, ctx))
+    for d in (1, 3):
+        polys.append(make_hypersurface({(0,) * n + (d,): 1}, n, d, ctx))
+    return polys
+
+
+@pytest.mark.parametrize(
+    "n,q,rank",
+    [(3, 2, 4), (3, 3, 4), (4, 2, 5), (4, 2, 3), (3, 2, None), (3, 3, None), (4, 2, None)],
+)
 def test_intersect_count_enum_matches_scalar_scan(n, q, rank):
     # (4, 2, 3) is the degenerate form of rank 3 in P^4: a cone with a line
-    # as vertex over U_2
+    # as vertex over U_2; rank None is a random non-diagonal form with e_n
+    # on its variety
     ctx = make_field(q)
-    f = padded_standard_form(rank, n, ctx)
-    rng = np.random.default_rng(100 * n + 10 * q + rank)
-    cubics = [random_hypersurface(n, 3, ctx, rng) for _ in range(2)]
-    cubics.append(expand_product(random_triple(n, ctx, rng), ctx))
+    rng = np.random.default_rng(100 * n + 10 * q + (rank or 0))
+    f = padded_standard_form(rank, n, ctx) if rank else general_form(n, ctx, rng)
     points = list(enumerate_points(n, ctx))
-    for C in cubics:
-        want = sum(
-            evaluate_poly(C, P.coords, ctx) == 0 and evaluate(f, P) == 0
-            for P in points
-        )
+    on_f = [P for P in points if evaluate(f, P) == 0]
+    for C in enum_polys(n, ctx, rng):
+        want = sum(evaluate_poly(C, P.coords, ctx) == 0 for P in on_f)
         assert intersect_count_enum(C, f) == want, (n, q, rank, C.monomials)
 
 
 def test_enum_scans_match_scalar_across_chunks(monkeypatch):
-    # chunks of 100 rows split the 820 points of P^3(F_9), and the form's
-    # 280 zeros, across several chunk boundaries; the two product cubics
-    # vanish at the first or the last zero of some chunks
+    # _CHUNK = 100 makes chunks of ceil(100 / 9) = 12 prefixes: 8 chunks over
+    # the 91 prefixes of P^2(F_9), two of them crossing a pivot block (the
+    # blocks start at prefixes 81 and 90), for the 820 points of P^3(F_9)
+    # and the form's 280 zeros
     monkeypatch.setattr("hermvar.hermitian._CHUNK", 100)
-    monkeypatch.setattr("hermvar.cubics._CHUNK", 100)
     ctx = make_field(3)
     f = standard_form(3, ctx)
+    assert [len(pre) for pre, _ in form_scan(f)] == [12] * 7 + [7]
     rng = np.random.default_rng(7)
     points = [P for P in enumerate_points(3, ctx) if evaluate(f, P) == 0]
     assert count_points_enum(f) == len(points) == nondegenerate_count(3, 3)
@@ -157,6 +188,34 @@ def test_enum_scans_match_scalar_across_chunks(monkeypatch):
     for C in cubics:
         want = sum(evaluate_poly(C, P.coords, ctx) == 0 for P in points)
         assert intersect_count_enum(C, f) == want, C.monomials
+
+
+def test_enum_oracles_never_build_the_point_array(monkeypatch):
+    # the oracles scan P^n as prefixes x last coordinate: with point_array
+    # unavailable and point_rows refused P^n itself they give the same counts
+    ctx = make_field(3)
+    rng = np.random.default_rng(11)
+    forms = [standard_form(4, ctx), general_form(4, ctx, rng)]
+    polys = [random_hypersurface(4, 3, ctx, rng), random_hypersurface(4, 2, ctx, rng)]
+    want = [count_points_enum(f) for f in forms]
+    want += [intersect_count_enum(C, f) for f in forms for C in polys]
+    assert want[0] == nondegenerate_count(4, 3)
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("an enumeration oracle built point_array")
+
+    point_rows = hermitian.point_rows
+
+    def prefix_rows(n, ctx, a, b):
+        assert n < 4, "an enumeration oracle built the rows of P^n"
+        return point_rows(n, ctx, a, b)
+
+    for mod in (projgeom, hermitian, cubics_mod):
+        monkeypatch.setattr(mod, "point_array", no_scan, raising=False)
+    monkeypatch.setattr(hermitian, "point_rows", prefix_rows)
+    got = [count_points_enum(f) for f in forms]
+    got += [intersect_count_enum(C, f) for f in forms for C in polys]
+    assert got == want
 
 
 def test_intersect_count_enum_triple_hyperplane():

@@ -194,15 +194,60 @@ def test_count_points_enum_budget_and_workers():
     assert count_points_enum(f, workers=2) == 45
 
 
+def mask_test_forms(n, ctx, rng):
+    """The standard form, a padded degenerate one with e_n on the variety,
+    random non-diagonal forms (one of them with H[n][n] = 0), a degenerate
+    non-diagonal one, and a form whose top-left n x n block is zero (at
+    n = 1 the hyperbolic pair, when its entry H[n][n] is 0)."""
+    forms = [standard_form(n, ctx), padded_standard_form(n, n, ctx)]
+    forms += [random_hermitian(n, ctx, rng) for _ in range(2)]
+    H = [list(r) for r in random_hermitian(n, ctx, rng).matrix]
+    H[n][n] = 0
+    forms.append(HermitianForm(tuple(map(tuple, H)), n, ctx))
+    while True:  # M^T M^(q) for a random 1 x (n+1) row M: rank 1
+        M = [int(x) for x in rng.integers(0, ctx.order, n + 1)]
+        H = tuple(
+            tuple(ctx.mul(a, ctx.frobenius(b)) for b in M) for a in M
+        )
+        if any(any(r) for r in H):
+            forms.append(HermitianForm(H, n, ctx))
+            break
+    for h in (0, 1):
+        H = [[0] * (n + 1) for _ in range(n + 1)]
+        for j in range(n):
+            H[n][j] = int(rng.integers(1, ctx.order))
+            H[j][n] = ctx.frobenius(H[n][j])
+        H[n][n] = h
+        forms.append(HermitianForm(tuple(map(tuple, H)), n, ctx))
+    return forms
+
+
 def test_variety_mask():
+    # every point of P^n, for n in 1..4 and q in 2..5 wherever N <= |P^4(F_9)|,
+    # against the form's value at point_array(n), and against the scalar
+    # contains wherever N <= 100
     ctx = make_field(2)
-    f = standard_form(4, ctx)
-    mask = variety_mask(f)
-    assert mask.shape == (num_points(4, 2),)
-    assert int(mask.sum()) == 165
-    pts = list(enumerate_points(4, ctx))
-    for i in (0, 1, 17, 100, 340):
-        assert bool(mask[i]) == contains(f, pts[i])
+    assert int(variety_mask(standard_form(4, ctx)).sum()) == 165
+    grid = [
+        (n, q)
+        for n in (1, 2, 3, 4)
+        for q in (2, 3, 4, 5)
+        if num_points(n, q) <= num_points(4, 3)
+    ]
+    assert len(grid) == 13
+    for n, q in grid:
+        ctx = make_field(q)
+        N = num_points(n, q)
+        pts = point_array(n, ctx)
+        for f in mask_test_forms(n, ctx, np.random.default_rng(10 * n + q)):
+            mask = variety_mask(f)
+            assert mask.shape == (N,) and mask.dtype == bool
+            assert np.array_equal(mask, eval_form_at(f, pts) == 0), (n, q, f.matrix)
+            assert bool(mask[-1]) == (f.matrix[n][n] == 0)
+            assert count_points_enum(f) == int(mask.sum())
+            if N <= 100:
+                want = [contains(f, P) for P in enumerate_points(n, ctx)]
+                assert mask.tolist() == want, (n, q, f.matrix)
 
 
 @pytest.mark.parametrize(

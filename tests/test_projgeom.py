@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hermvar import projgeom
 from hermvar.errors import WrongDimension
 from hermvar.field import make_field
 from hermvar.projgeom import (
@@ -20,6 +21,7 @@ from hermvar.projgeom import (
     point_array,
     point_rank,
     point_rank_array,
+    point_rows,
     random_subspace,
     rref,
     subspace_from_rows,
@@ -60,6 +62,26 @@ def test_point_array_matches_stream(n, q):
         if i >= 2000:
             break
         assert tuple(int(x) for x in arr[i]) == p.coords
+
+
+def test_point_rows_in_small_steps_match_the_stream(monkeypatch):
+    # steps of 7 rows split every pivot block of more than 7 rows; the whole
+    # array and random slices equal the scalar enumeration and the rows built
+    # in one step
+    rng = np.random.default_rng(5)
+    cases = [(1, 4), (2, 2), (3, 2), (2, 3), (3, 3)]
+    ctxs = {q: make_field(q) for _, q in cases}
+    one_step = {(n, q): point_rows(n, ctxs[q], 0, num_points(n, q)) for n, q in cases}
+    monkeypatch.setattr(projgeom, "_ROW_STEP", 7)
+    monkeypatch.setattr(projgeom, "_POINT_ARRAYS", {})
+    for n, q in cases:
+        ctx = ctxs[q]
+        want = np.array([P.coords for P in enumerate_points(n, ctx)], dtype=np.uint8)
+        assert np.array_equal(want, one_step[n, q])
+        assert np.array_equal(point_array(n, ctx), want)
+        N = len(want)
+        for a, b in np.sort(rng.integers(0, N + 1, size=(20, 2)), axis=1).tolist():
+            assert np.array_equal(point_rows(n, ctx, a, b), want[a:b]), (n, q, a, b)
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (3, 3), (4, 2)])
