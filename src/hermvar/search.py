@@ -7,20 +7,23 @@ are read from the counts (a common section's dimension and point count fix
 its type), not re-classified.  The enumeration cross-checks read one
 incidence matrix Z of every hyperplane with the points of the variety only
 (about 1/q of P^n), bit-packed along the points, so a section count is a
-popcount of a row, or of the AND / OR of a few rows, taken a uint64 word at
-a time.  Z is built grouped by prefix: the hyperplanes come in runs of q^2
-that share all coordinates but the last, so one kernel pass over the
-prefixes gives every run's dot values, and each member of a run is one
-table compare against them.
+popcount of a row, or of the AND / OR of a few rows.  Z is built grouped by
+prefix: the hyperplanes come in runs of q^2 that share all coordinates but
+the last, so one kernel pass over the prefixes gives every run's dot
+values, and each member of a run is one table compare against them.
 
 Codimension-2 subspaces are enumerated directly as reduced-row-echelon dual
 lines (two-row RREF matrices of covectors), which visits every pencil
-exactly once without deduplication.  The ranks of a pencil's members are
-sums of terms in one or two of the dual line's free digits, so the catalog
-is built as broadcast sums over the grid of free digits, never as rows.
+exactly once without deduplication.  Whatever is computed per dual line,
+the ranks of its members or its 2 x 2 dual Gram matrix, is a sum of terms
+in one or two of its free digits, so it is built as broadcast sums over the
+grid of free digits, never as rows.  The pencil scan needs only the Gram
+matrix: by polarity it fixes the axis's section shape and which members are
+tangent, so the scan builds no incidence and no catalog.
 """
 
 import functools
+import itertools
 import json
 import math
 import time
@@ -63,6 +66,7 @@ from .projgeom import (
 _MEMO_CELL_LIMIT = 50_000_000  # plane x hyperplane table entries
 _ARGMAX_LIMIT = 1000  # argmax arrangements listed in a triple-search report
 _EVAL_CHUNK_BYTES = 16 << 20  # working set of one random-cubic point chunk
+_GRAM_SLICE = 1 << 20  # dual lines per key array of the pencil scan
 
 
 def gaussian_binomial(m, k, Q):
@@ -101,12 +105,22 @@ def incidence_zero_matrix(n, ctx, u):
     return Z
 
 
+def _dual_line_blocks(n):
+    """The RREF layout of the dual lines of P^n, block by block in catalog
+    order: pivots c1 < c2 (r1 has its leading 1 at c1, r2 at c2), the
+    positions `mid` between them, where only r1 has a free digit, and the
+    positions `tail` after c2, where r1 and r2 each have one.  A block's
+    lines run over its free digits as a base-Q number: r1's mid digits, r1's
+    tail digits, then r2's tail digits."""
+    for c1 in range(n + 1):
+        for c2 in range(c1 + 1, n + 1):
+            yield c1, c2, range(c1 + 1, c2), range(c2 + 1, n + 1)
+
+
 def dual_line_catalog(n, ctx):
     """Member hyperplane ranks of every pencil, one row per codimension-2
-    subspace, via direct RREF enumeration of dual lines.
+    subspace, via direct RREF enumeration of dual lines (_dual_line_blocks).
 
-    The dual lines with pivots c1 < c2 are the RREF pairs (r1, r2), rows in
-    the order of their free digits, r1's and then r2's, as base-Q numbers.
     Member 0 is r2; member 1 + b is r1 + b r2, which has its leading 1 at c1,
     r1's digits before c2, b at c2 and r1_j + b r2_j after c2.  So every
     rank is a sum of terms in at most two free digits and b, and a (c1, c2)
@@ -121,27 +135,61 @@ def dual_line_catalog(n, ctx):
     comb = comb.astype(np.int32)
     cat = np.empty((gaussian_binomial(n + 1, 2, Q), Q + 1), dtype=np.int32)
     a = 0
-    for c1 in range(n + 1):
-        for c2 in range(c1 + 1, n + 1):
-            mid, tail = range(c1 + 1, c2), range(c2 + 1, n + 1)
-            k = len(mid) + 2 * len(tail)  # free digits: r1's, then r2's
-            cnt = Q**k
-            mem = cat[a : a + cnt].reshape((Q,) * k + (Q + 1,))
-            first = [offs[c2]]  # member 0
-            rest = [offs[c1] + w[c2] * e]  # members 1 .. Q, b on the last axis
-            for i, j in enumerate(mid):
-                rest.append(_along(w[j] * e, (i,), k + 1))
-            for i, j in enumerate(tail):
-                x, y = len(mid) + i, len(mid) + len(tail) + i
-                first.append(_along(w[j] * e, (y,), k))
-                rest.append(_along(w[j] * comb, (x, y, k), k + 1))
-            # the partial sums grow one axis at a time, so only the last
-            # addition spans the whole block
-            mem[..., 0] = functools.reduce(np.add, first)
-            mem[..., 1:] = functools.reduce(np.add, rest)
-            a += cnt
+    for c1, c2, mid, tail in _dual_line_blocks(n):
+        k = len(mid) + 2 * len(tail)
+        cnt = Q**k
+        mem = cat[a : a + cnt].reshape((Q,) * k + (Q + 1,))
+        first = [offs[c2]]  # member 0
+        rest = [offs[c1] + w[c2] * e]  # members 1 .. Q, b on the last axis
+        for i, j in enumerate(mid):
+            rest.append(_along(w[j] * e, (i,), k + 1))
+        for i, j in enumerate(tail):
+            x, y = len(mid) + i, len(mid) + len(tail) + i
+            first.append(_along(w[j] * e, (y,), k))
+            rest.append(_along(w[j] * comb, (x, y, k), k + 1))
+        # the partial sums grow one axis at a time, so only the last
+        # addition spans the whole block
+        mem[..., 0] = functools.reduce(np.add, first)
+        mem[..., 1:] = functools.reduce(np.add, rest)
+        a += cnt
     assert a == len(cat)
     return cat
+
+
+def dual_gram_keys(n, ctx):
+    """Dual Gram key of every dual line of P^n under the standard form, in
+    dual_line_catalog's row order, yielded one block, or slice of a block,
+    at a time.
+
+    The key of the line (r1, r2) is (G11 Q + G12) Q + G22 with G11 = <r1, r1>,
+    G12 = <r1, r2> and G22 = <r2, r2> for the dual form <a, b> = sum a_j b_j^q.
+    In RREF these are G11 = 1 + sum N(r1_j) over r1's free digits,
+    G22 = 1 + sum N(r2_j) over r2's, and G12 = sum r1_j r2_j^q over the
+    tail, so each is a broadcast field sum over the block's free digits.  A
+    block of more than _GRAM_SLICE lines is cut into slices that fix its
+    leading free digits, each slice a contiguous run of the catalog, so the
+    working set stays bounded however large the block."""
+    Q = ctx.order
+    add = ctx.add_table.astype(np.intp)
+    nrm = ctx.norm_table.astype(np.intp)
+    dot = ctx.mul_table[:, ctx.frob_table].astype(np.intp)  # x y^q
+
+    def fsum(terms, start):
+        # the partial sums grow one axis at a time
+        return functools.reduce(lambda x, y: add[x, y], terms, start)
+
+    for _, _, mid, tail in _dual_line_blocks(n):
+        m, t = len(mid), len(tail)
+        k = m + 2 * t
+        s = next(s for s in range(k + 1) if Q ** (k - s) <= _GRAM_SLICE)
+        free = [_along(np.arange(Q), (i,), k - s) for i in range(k - s)]
+        for lead in itertools.product(range(Q), repeat=s):
+            d = list(lead) + free  # r1's digits d[: m + t], r2's d[m + t :]
+            g11 = fsum((nrm[x] for x in d[: m + t]), 1)
+            g22 = fsum((nrm[y] for y in d[m + t :]), 1)
+            g12 = fsum((dot[x, y] for x, y in zip(d[m : m + t], d[m + t :])), 0)
+            key = g11 * (Q * Q) + (g12 * Q + g22)
+            yield np.broadcast_to(key, (Q,) * (k - s)).ravel()
 
 
 def _along(arr, axes, ndim):
@@ -168,7 +216,6 @@ class _Geometry:
     tangent: np.ndarray  # per-hyperplane tangency
     S: np.ndarray  # per-hyperplane section counts (from classification)
     planes: np.ndarray  # pencil member ranks per codim-2 subspace
-    plane_count: np.ndarray  # section count of each codim-2 subspace
     stages: dict  # stage wall times and work counts
 
 
@@ -179,9 +226,9 @@ def _section_counts(n, q):
 
 def _variety_incidence(n, q, budget):
     """The geometry of U_n that needs no pencils: the variety mask u, the
-    incidence Z with its zero-padded uint64 view Zw, every hyperplane's
-    tangency and section count S, and the stage times.  S comes from the
-    classification and is asserted equal to the popcounts of Z's rows."""
+    incidence Z, every hyperplane's tangency and section count S, and the
+    stage times.  S comes from the classification and is asserted equal to
+    the popcounts of Z's rows."""
     ctx = make_field(q)
     N = num_points(n, q)
     if N * N > budget:
@@ -193,41 +240,21 @@ def _variety_incidence(n, q, budget):
     t2 = time.time()
     tangent = hyperplane_tangency(n, q)
     S = np.where(tangent, *_section_counts(n, q)).astype(np.int64)
-    words = -(-Z.shape[1] // 8)
-    Zw = np.zeros((N, 8 * words), dtype=np.uint8)
-    Zw[:, : Z.shape[1]] = Z
-    Zw = Zw.view(np.uint64)
     # classification counts must agree with the enumerated popcounts, exactly
-    enum_S = np.bitwise_count(Zw).sum(axis=1)
+    enum_S = np.bitwise_count(Z).sum(axis=1, dtype=np.int64)
     assert np.array_equal(S, enum_S), "hyperplane section counts disagree"
     t3 = time.time()
     stages = {"mask_s": t1 - t0, "incidence_s": t2 - t1, "tangency_s": t3 - t2}
-    return u, Z, Zw, tangent, S, stages
+    return u, Z, tangent, S, stages
 
 
 def build_geometry(n, q, budget=DEFAULT_POINT_BUDGET):
-    """Incidence, tangency, pencil catalog and pencil section counts.
-
-    Section counts are popcounts of Z's rows, and of the AND of a pencil's
-    first two rows, taken on a zero-padded uint64 view of Z."""
-    u, Z, Zw, tangent, S, stages = _variety_incidence(n, q, budget)
+    """Incidence, tangency and pencil catalog of the variety."""
+    u, Z, tangent, S, stages = _variety_incidence(n, q, budget)
     t3 = time.time()
     planes = dual_line_catalog(n, make_field(q))
-    t4 = time.time()
-    plane_count = np.empty(len(planes), dtype=np.int64)
-    blk = 1024
-    for a in range(0, len(planes), blk):
-        b = min(a + blk, len(planes))
-        rows = Zw[planes[a:b, 0]] & Zw[planes[a:b, 1]]
-        plane_count[a:b] = np.bitwise_count(rows).sum(axis=1)
-    t5 = time.time()
-    stages.update(
-        catalog_s=t4 - t3,
-        plane_counts_s=t5 - t4,
-        pencils=len(planes),
-        popcount_words=(len(Zw) + len(planes)) * Zw.shape[1],
-    )
-    return _Geometry(n, q, len(Z), Z, u, tangent, S, planes, plane_count, stages)
+    stages.update(catalog_s=time.time() - t3, pencils=len(planes))
+    return _Geometry(n, q, len(Z), Z, u, tangent, S, planes, stages)
 
 
 # -- exhaustive triple search -------------------------------------------------
@@ -411,6 +438,7 @@ class PencilScanReport:
     best_is_formula_max: bool
     best_structures: dict
     tangent_members_by_section: dict
+    stages: dict  # the Gram pass's time and work counts, not serialized
 
     def to_json_dict(self):
         return _json_fields(self, "pencil_scan")
@@ -422,47 +450,92 @@ def pencil_triples_scan(n, q, budget=DEFAULT_POINT_BUDGET):
 
     This covers the stratum where the global maximum lives and stays
     feasible where the full triple space does not (the pencil count grows
-    like N^2, not N^3).
+    like N^2, not N^3).  Every pencil is one dual line, visited once by
+    dual_gram_keys; its dual Gram key fixes the axis's point count and the
+    number of tangent members (_pencil_kinds), so the pencils are counted
+    by key and the report is read from the key histogram.  The budget is
+    checked against the pencils visited.  The report's `stages` holds the
+    Gram pass's wall time and the counts of pencils, distinct keys and key
+    arrays (blocks, or slices of a block).
     """
     mf = max_cubic_intersection(n, q)  # refuses n < 4 before any work
-    geo = build_geometry(n, q, budget=budget)
-    tmem = np.count_nonzero(geo.tangent[geo.planes], axis=1)  # tangent members
-    # S takes one value on tangent and one on non-tangent hyperplanes (as
-    # build_geometry asserts), so a pencil's best triple takes as many
-    # members of the larger kind as it has, up to 3
+    ctx = make_field(q)
+    Q = ctx.order
+    pencils = gaussian_binomial(n + 1, 2, Q)
+    if pencils > budget:
+        raise BudgetExceeded(pencils, budget, what="pencils")
+    t0 = time.time()
+    hist = np.zeros(Q**3, dtype=np.int64)
+    blocks = 0
+    for keys in dual_gram_keys(n, ctx):
+        hist += np.bincount(keys, minlength=len(hist))
+        blocks += 1
+    keys = np.flatnonzero(hist)
+    weight = hist[keys]
+    assert int(weight.sum()) == pencils, "the Gram pass missed a dual line"
+    plane_count, tmem = _pencil_kinds(keys, n, ctx)
+    # S takes one value on tangent and one on non-tangent hyperplanes, so a
+    # pencil's best triple takes as many members of the larger kind as it
+    # has, up to 3
     s_tan, s_non = _section_counts(n, q)
-    larger = tmem if s_tan > s_non else geo.planes.shape[1] - tmem
+    larger = tmem if s_tan > s_non else Q + 1 - tmem
     top3 = 3 * min(s_tan, s_non) + abs(s_tan - s_non) * np.minimum(larger, 3)
-    best_per_plane = top3 - 2 * geo.plane_count
-    best = int(best_per_plane.max())
-    is_best = best_per_plane == best
+    best_per_key = top3 - 2 * plane_count
+    best = int(best_per_key.max())
+    is_best = best_per_key == best
+    stages = dict(gram_s=time.time() - t0, pencils=pencils, keys=len(keys), blocks=blocks)
     return PencilScanReport(
         n=n,
         q=q,
-        pencils=len(geo.planes),
+        pencils=pencils,
         best_count=best,
         max_formula_value=mf,
         best_is_formula_max=bool(best == mf),
         best_structures=_section_profile(
-            geo.plane_count[is_best], tmem[is_best], n, q
+            plane_count[is_best], tmem[is_best], n, q, weight[is_best]
         ),
-        tangent_members_by_section=_section_profile(geo.plane_count, tmem, n, q),
+        tangent_members_by_section=_section_profile(plane_count, tmem, n, q, weight),
+        stages=stages,
     )
 
 
-def _section_profile(plane_count, tmem, n, q):
+def _pencil_kinds(keys, n, ctx):
+    """Points of U_n on the axis, and the number of tangent members, of the
+    pencils with the dual Gram keys `keys` (see dual_gram_keys).
+
+    The vertex of the axis's section is the axis's meet with its polar line,
+    whose points are the conjugates of the dual line's covectors, so it has
+    vector dimension 2 - rank G: ranks 2, 1 and 0 give the shapes U, Pi0U
+    and Pi1U of cone_counts.  A member a is tangent iff <a, a> = 0: G22 = 0
+    for member 0 (r2), and G11 + Tr(b G12^q) + N(b) G22 = 0 for member 1 + b
+    (r1 + b r2)."""
+    Q = ctx.order
+    add, mul = ctx.add_table, ctx.mul_table
+    g11, g12, g22 = keys // (Q * Q), keys // Q % Q, keys % Q
+    det = add[mul[g11, g22], ctx.neg_table[ctx.norm_table[g12]]]
+    rank = np.where(det != 0, 2, np.where((g11 | g12 | g22) != 0, 1, 0))
+    plane_count = np.array(cone_counts(n, ctx.q), dtype=np.int64)[2 - rank]
+    b = np.arange(Q)
+    cross = ctx.trace_table[mul[b, ctx.frob_table[g12][:, None]]]
+    forms = add[add[g11[:, None], cross], mul[ctx.norm_table[b], g22[:, None]]]
+    tmem = (g22 == 0) + np.count_nonzero(forms == 0, axis=1)
+    return plane_count, tmem
+
+
+def _section_profile(plane_count, tmem, n, q, weight=1):
     """Pencils counted by section shape and number of tangent members, keyed
-    "<shape>|tangent_members=<t>"."""
+    "<shape>|tangent_members=<t>"; entry i stands for weight[i] pencils, or
+    for one when weight is 1."""
     u_count, cone0, cone1 = cone_counts(n, q)
     label_of = {u_count: "U", cone0: "Pi0U", cone1: "Pi1U"}
     width = q * q + 2  # tangent member counts run over 0 .. q^2+1
-    bins = np.bincount(plane_count * width + tmem)
-    profile = {}
-    for key in np.nonzero(bins)[0]:
-        pc, t = divmod(int(key), width)
-        label = f"{label_of[pc]}|tangent_members={t}"
-        profile[label] = profile.get(label, 0) + int(bins[key])
-    return profile
+    keys, inv = np.unique(plane_count * width + tmem, return_inverse=True)
+    sums = np.zeros(len(keys), dtype=np.int64)
+    np.add.at(sums, inv, weight)
+    return {
+        f"{label_of[key // width]}|tangent_members={key % width}": count
+        for key, count in zip(keys.tolist(), sums.tolist())
+    }
 
 
 # -- incidence double counting -------------------------------------------------
@@ -495,7 +568,7 @@ def incidence_double_count(n, q, budget=DEFAULT_POINT_BUDGET):
     points; and the point/non-tangent-hyperplane incidences sum identically
     from both sides.
     """
-    u, Z, _, kinds, _, _ = _variety_incidence(n, q, budget)
+    u, Z, kinds, _, _ = _variety_incidence(n, q, budget)
     ctx = make_field(q)
     f = standard_form(n, ctx)
     upts = point_array(n, ctx)[u]

@@ -226,6 +226,7 @@ def test_criterion_7_random_cubics_q7():
 @pytest.mark.parametrize("n,q", [(4, 2), (5, 2)], ids=["n4-q2", "n5-q2"])
 def test_criterion_8_pairwise_exclusions(n, q):
     from hermvar.bounds import cone_counts
+    from oracles import axis_counts
 
     geo = build_geometry(n, q)
     tangent_members = geo.tangent[geo.planes].sum(axis=1)
@@ -233,7 +234,7 @@ def test_criterion_8_pairwise_exclusions(n, q):
     assert len({u_count, cone0, cone1}) == 3
     members_total = geo.planes.shape[1]
     pairs_seen = 0
-    for count, t in zip(geo.plane_count, tangent_members):
+    for count, t in zip(axis_counts(geo), tangent_members):
         count, t = int(count), int(t)
         assert count in (u_count, cone0, cone1)
         if count == cone1:

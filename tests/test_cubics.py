@@ -296,13 +296,15 @@ def test_pencil_triples_match_popcounts(n, q):
     from hermvar.bounds import cone_counts
     from hermvar.projgeom import point_array
     from hermvar.search import build_geometry
+    from oracles import axis_counts
 
     ctx = make_field(q)
     f = standard_form(n, ctx)
     geo = build_geometry(n, q)
+    plane_count = axis_counts(geo)
     pts = point_array(n, ctx)
     for axis in cone_counts(n, q):  # U, Pi0U, Pi1U
-        pid = int(np.flatnonzero(geo.plane_count == axis)[0])
+        pid = int(np.flatnonzero(plane_count == axis)[0])
         ranks = geo.planes[pid]
         tan = [int(r) for r in ranks if geo.tangent[r]]
         non = [int(r) for r in ranks if not geo.tangent[r]]

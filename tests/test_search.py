@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import math
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from hermvar.bounds import cone_counts
-from hermvar.cubics import arrangement
+from hermvar.cubics import arrangement, max_cubic_intersection
 from hermvar.errors import BudgetExceeded, ExceedsCap, NotPrimePower, OutOfRange
 from hermvar.field import make_field
 from hermvar.hermitian import (
@@ -28,6 +29,7 @@ from hermvar.projgeom import (
 )
 from hermvar.search import (
     build_geometry,
+    dual_gram_keys,
     dual_line_catalog,
     exhaustive_triples,
     gaussian_binomial,
@@ -38,6 +40,7 @@ from hermvar.search import (
     random_cubic_sample,
     report_json,
 )
+from oracles import axis_counts
 
 
 def test_gaussian_binomial():
@@ -119,13 +122,14 @@ def test_build_geometry_totals():
     assert int(geo.u.sum()) == 165
     assert int(geo.tangent.sum()) == 165
     assert len(geo.planes) == 5797
-    # section counts live in the three admissible shapes
-    assert set(int(c) for c in geo.plane_count) == {9, 13, 5}
+    # axis section counts live in the three admissible shapes
+    assert set(axis_counts(geo).tolist()) == {9, 13, 5}
     stages = geo.stages
     assert stages["pencils"] == 5797
-    # 165 points take 21 bytes, 3 zero-padded words, per row of Z
-    assert stages["popcount_words"] == (341 + 5797) * 3
-    for key in ("mask_s", "incidence_s", "tangency_s", "catalog_s", "plane_counts_s"):
+    # 165 points take 21 bytes per row of Z
+    assert geo.Z.shape == (341, 21)
+    assert set(stages) == {"mask_s", "incidence_s", "tangency_s", "catalog_s", "pencils"}
+    for key in ("mask_s", "incidence_s", "tangency_s", "catalog_s"):
         assert stages[key] >= 0
 
 
@@ -225,6 +229,7 @@ def test_section_types_match_classify_section(n, q):
     ctx = make_field(q)
     f = standard_form(n, ctx)
     geo = build_geometry(n, q)
+    plane_count = axis_counts(geo)
     table = _section_types(n, q)
     pts = point_array(n, ctx)
 
@@ -232,7 +237,7 @@ def test_section_types_match_classify_section(n, q):
         return [Hyperplane(tuple(pts[r].tolist())) for r in idx]
 
     for shape in cone_counts(n, q):  # U, Pi0U, Pi1U
-        pid = int(np.flatnonzero(geo.plane_count == shape)[0])
+        pid = int(np.flatnonzero(plane_count == shape)[0])
         axis = intersect_hyperplanes(hyps(geo.planes[pid, :2]), ctx)
         assert axis.dim == n - 2
         assert table[n - 2, shape] == classify_section(f, axis), shape
@@ -251,13 +256,14 @@ def test_section_types_match_classify_section(n, q):
 
 def test_n_below_4_refused_before_geometry(monkeypatch, capsys):
     # the d = 3 maximum needs n >= 4: the searches refuse smaller n before
-    # building any geometry, and the CLI exits 2
+    # building any geometry or Gram key, and the CLI exits 2
     from hermvar import cli, search
 
     def no_geometry(*args, **kwargs):
-        raise AssertionError("build_geometry ran for n < 4")
+        raise AssertionError("geometry built for n < 4")
 
     monkeypatch.setattr(search, "build_geometry", no_geometry)
+    monkeypatch.setattr(search, "dual_gram_keys", no_geometry)
     with pytest.raises(OutOfRange):
         exhaustive_triples(3, 2)
     with pytest.raises(OutOfRange):
@@ -295,17 +301,120 @@ def test_pencil_scan_matches_sorted_members(n, q):
     from hermvar.search import _section_profile
 
     geo = build_geometry(n, q)
+    plane_count = axis_counts(geo)
     top3 = np.sort(geo.S[geo.planes], axis=1)[:, -3:].sum(axis=1)
-    best_per_plane = top3 - 2 * geo.plane_count
+    best_per_plane = top3 - 2 * plane_count
     tmem = geo.tangent[geo.planes].sum(axis=1)
     rep = pencil_triples_scan(n, q)
     assert rep.best_count == best_per_plane.max()
     is_best = best_per_plane == rep.best_count
-    want = _section_profile(geo.plane_count[is_best], tmem[is_best], n, q)
+    want = _section_profile(plane_count[is_best], tmem[is_best], n, q)
     assert rep.best_structures == want
     assert rep.tangent_members_by_section == _section_profile(
-        geo.plane_count, tmem, n, q
+        plane_count, tmem, n, q
     )
+
+
+@pytest.mark.parametrize("n,q", [(4, 2), (5, 2), (4, 3)])
+def test_gram_keys_match_popcounts_row_for_row(n, q):
+    # the Gram pass's keys, in catalog order, give every pencil's axis count
+    # and tangent members exactly as the incidence popcounts and the
+    # hyperplane classification do
+    from hermvar.search import _pencil_kinds
+
+    ctx = make_field(q)
+    geo = build_geometry(n, q)
+    keys = np.concatenate(list(dual_gram_keys(n, ctx)))
+    assert len(keys) == len(geo.planes)
+    uniq, inv = np.unique(keys, return_inverse=True)
+    plane_count, tmem = _pencil_kinds(uniq, n, ctx)
+    assert np.array_equal(plane_count[inv], axis_counts(geo))
+    assert np.array_equal(tmem[inv], geo.tangent[geo.planes].sum(axis=1))
+
+
+@pytest.mark.parametrize("n,q", [(4, 3), (5, 2), (3, 4)])
+def test_gram_key_slices_cover_the_catalog_in_order(n, q, monkeypatch):
+    # slices that fix leading free digits concatenate to the unsliced keys
+    from hermvar import search
+
+    ctx = make_field(q)
+    whole = list(dual_gram_keys(n, ctx))
+    assert len(whole) == math.comb(n + 1, 2)  # one array per (c1, c2) block
+    limit = ctx.order**2
+    monkeypatch.setattr(search, "_GRAM_SLICE", limit)
+    sliced = list(dual_gram_keys(n, ctx))
+    assert len(sliced) > len(whole)
+    assert max(len(k) for k in sliced) <= limit
+    assert np.array_equal(np.concatenate(sliced), np.concatenate(whole))
+
+
+def unitary_order(m, q):
+    """|U(m, q^2)| = q^(m(m-1)/2) prod_{i<=m} (q^i - (-1)^i)."""
+    out = q ** (m * (m - 1) // 2)
+    for i in range(1, m + 1):
+        out *= q**i - (-1) ** i
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def scan(n, q):
+    return pencil_triples_scan(n, q)
+
+
+def test_pencil_scan_reaches_4_4():
+    # beyond the N^2 incidence budget the old scan refused
+    rep = scan(4, 4)
+    assert rep.pencils == gaussian_binomial(5, 2, 16) == 17_965_585
+    assert rep.best_count == max_cubic_intersection(4, 4) == 3185
+    assert rep.best_is_formula_max
+
+
+@pytest.mark.parametrize(
+    "n,q,nd", [(4, 2, 3520), (4, 3, 444_690), (5, 2, 59_136), (4, 4, 14_274_560)]
+)
+def test_nondegenerate_pencils_match_unitary_orbit(n, q, nd):
+    # the pencils whose axis meets U_n in a non-degenerate variety, which
+    # carry q + 1 tangent members, number |U(n+1)| / (|U(2)| |U(n-1)|)
+    assert nd == unitary_order(n + 1, q) // (unitary_order(2, q) * unitary_order(n - 1, q))
+    profile = scan(n, q).tangent_members_by_section
+    assert profile[f"U|tangent_members={q + 1}"] == nd
+    assert [k for k in profile if k.startswith("U|")] == [f"U|tangent_members={q + 1}"]
+
+
+def test_pencil_scan_budget_counts_pencils(monkeypatch):
+    # the budget is checked against the pencils the scan would visit, before
+    # any Gram key is computed: 1.4e10 at (4,7)
+    from hermvar import search
+
+    def no_keys(*args, **kwargs):
+        raise AssertionError("a Gram block was computed")
+
+    monkeypatch.setattr(search, "dual_gram_keys", no_keys)
+    with pytest.raises(BudgetExceeded) as exc:
+        pencil_triples_scan(4, 7)
+    assert exc.value.needed == gaussian_binomial(5, 2, 49) == 14_135_532_202
+    with pytest.raises(BudgetExceeded):
+        pencil_triples_scan(4, 3, budget=605_241)
+
+
+# SHA-256 of the report JSON, unchanged since the scan read build_geometry
+SCAN_DIGESTS = {
+    (4, 2): "fc99295f3abef5b4b840519eced658991b5cf38a7d3ee22039e21456d12bca86",
+    (4, 3): "d0049a83bc00d0de3bc9b7ba1f8293799c2a4b13325126f56546ae5e124f0dc4",
+    (5, 2): "35c5ce6426436cee4888e7a148e857b04f61cc4608edaaebb7a0875e7519795a",
+}
+
+
+@pytest.mark.parametrize("n,q", sorted(SCAN_DIGESTS))
+def test_pencil_scan_stages_and_json(n, q):
+    rep = scan(n, q)
+    stages = rep.stages
+    assert stages["pencils"] == rep.pencils
+    assert stages["blocks"] >= math.comb(n + 1, 2) and stages["gram_s"] >= 0
+    assert stages["keys"] <= q * q**2 * q  # G11, G22 in F_q, G12 in F_{q^2}
+    assert "stages" not in rep.to_json_dict()
+    text = report_json(rep)
+    assert hashlib.sha256(text.encode()).hexdigest() == SCAN_DIGESTS[n, q]
 
 
 def test_pencil_scan_4_2_reported_only():
@@ -321,7 +430,7 @@ def test_pairwise_exclusions(n, q):
     tangent_members = geo.tangent[geo.planes].sum(axis=1)
     u_count, cone0, cone1 = cone_counts(n, q)
     members_total = geo.planes.shape[1]
-    for count, t in zip(geo.plane_count, tangent_members):
+    for count, t in zip(axis_counts(geo), tangent_members):
         count, t = int(count), int(t)
         assert count in (u_count, cone0, cone1)
         if count == cone1:
