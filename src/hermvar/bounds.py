@@ -18,7 +18,7 @@ import csv
 from dataclasses import dataclass
 
 from .errors import OutOfRange
-from .hermitian import nondegenerate_count
+from .hermitian import hyperplane_section_counts, nondegenerate_count
 
 
 def _require(n, minimum=4):
@@ -98,9 +98,7 @@ def cone_counts(n, q):
 def max_section_bound(n, q):
     """Largest possible hyperplane section of the non-degenerate variety:
     |U_{n-1}| for even n, q^2 |U_{n-2}| + 1 for odd n."""
-    if n % 2 == 0:
-        return nondegenerate_count(n - 1, q)
-    return q * q * nondegenerate_count(n - 2, q) + 1
+    return max(hyperplane_section_counts(n, q))
 
 
 def check_bound_power_gap(n, q):

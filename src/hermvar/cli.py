@@ -39,6 +39,7 @@ from .errors import (
     InsufficientPencilMembers,
     NotPrimePower,
     OutOfRange,
+    PreconditionViolated,
 )
 from .field import make_field
 from .hermitian import (
@@ -47,7 +48,7 @@ from .hermitian import (
     count_points_enum,
     count_points_formula,
     eval_form_at,
-    nondegenerate_count,
+    hyperplane_section_counts,
     padded_standard_form,
     section_count,
     standard_form,
@@ -174,7 +175,7 @@ def _suite_incidence(q, n, budget=DEFAULT_POINT_BUDGET, **_):
     if n < 2:
         raise OutOfRange(f"n={n} must be >= 2 for the tangent incidence")
     rep = incidence_double_count(n, q, budget=budget)
-    want = q * q * nondegenerate_count(n - 2, q) + 1
+    want = hyperplane_section_counts(n, q)[0]
     checks = [
         _assertion("tangent_count_uniform", rep.tangent_count_uniform, rep.point_tangent_count),
         _assertion(
@@ -370,7 +371,7 @@ def main(argv=None):
             report, ok = _cmd_verify(args, budget)
         else:
             report, ok = _cmd_search(args, budget)
-    except (NotPrimePower, ExceedsCap, OutOfRange, BudgetExceeded) as e:
+    except (NotPrimePower, ExceedsCap, OutOfRange, BudgetExceeded, PreconditionViolated) as e:
         err = {
             "schema": 1,
             "command": args.command,

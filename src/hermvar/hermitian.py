@@ -421,9 +421,15 @@ def classify_section(f, subspace):
     return st
 
 
+def hyperplane_section_counts(n, q):
+    """Points of the non-degenerate variety U_n on a tangent hyperplane, a
+    cone over U_{n-2}, and on a non-tangent one, a U_{n-1}."""
+    return 1 + q * q * nondegenerate_count(n - 2, q), nondegenerate_count(n - 1, q)
+
+
 def tangents_through_count(f, P):
-    """Tangent hyperplanes through a variety point: q^2 |U_{n-2}| + 1."""
+    """Tangent hyperplanes through a variety point: by polarity as many as
+    the points of its tangent section, q^2 |U_{n-2}| + 1."""
     if not contains(f, P):
         raise NotOnVariety(f"point {P.coords} is not on the variety")
-    q = f.ctx.q
-    return q * q * nondegenerate_count(f.n - 2, q) + 1
+    return hyperplane_section_counts(f.n, f.ctx.q)[0]

@@ -7,19 +7,22 @@ are read from the counts (a common section's dimension and point count fix
 its type), not re-classified.  The enumeration cross-checks read one
 incidence matrix Z of every hyperplane with the points of the variety only
 (about 1/q of P^n), bit-packed along the points, so a section count is a
-popcount of a row, or of the AND / OR of a few rows.  Z is built grouped by
-prefix: the hyperplanes come in runs of q^2 that share all coordinates but
-the last, so one kernel pass over the prefixes gives every run's dot
-values, and each member of a run is one table compare against them.
+popcount of a row, or of the AND / OR of a few rows.  The standard form is
+self-dual, so one variety mask gives both those points and the tangent
+hyperplanes.  Z is built grouped by prefix: the hyperplanes come in runs of
+q^2 that share all coordinates but the last, so one kernel pass over the
+prefixes gives every run's dot values, and each member of a run is one
+table compare against them.
 
 Codimension-2 subspaces are enumerated directly as reduced-row-echelon dual
 lines (two-row RREF matrices of covectors), which visits every pencil
-exactly once without deduplication.  Whatever is computed per dual line,
-the ranks of its members or its 2 x 2 dual Gram matrix, is a sum of terms
-in one or two of its free digits, so it is built as broadcast sums over the
-grid of free digits, never as rows.  The pencil scan needs only the Gram
-matrix: by polarity it fixes the axis's section shape and which members are
-tangent, so the scan builds no incidence and no catalog.
+exactly once without deduplication.  One walk over the RREF free digits,
+_dual_line_digits, serves both per-line computations, the ranks of a
+line's members and its 2 x 2 dual Gram matrix: each is a sum of terms in
+one or two free digits, so it is built as broadcast sums over a bounded
+slice of the digit grid, never as rows.  The pencil scan needs only the
+Gram matrix: by polarity it fixes the axis's section shape and which
+members are tangent, so the scan builds no incidence and no catalog.
 """
 
 import functools
@@ -46,7 +49,7 @@ from .field import make_field
 from .hermitian import (
     DEFAULT_POINT_BUDGET,
     SectionType,
-    classify_hyperplanes,
+    hyperplane_section_counts,
     nondegenerate_count,
     section_count,
     standard_form,
@@ -66,7 +69,7 @@ from .projgeom import (
 _MEMO_CELL_LIMIT = 50_000_000  # plane x hyperplane table entries
 _ARGMAX_LIMIT = 1000  # argmax arrangements listed in a triple-search report
 _EVAL_CHUNK_BYTES = 16 << 20  # working set of one random-cubic point chunk
-_GRAM_SLICE = 1 << 20  # dual lines per key array of the pencil scan
+_LINE_SLICE = 1 << 20  # dual lines per slice of the catalog and the Gram keys
 
 
 def gaussian_binomial(m, k, Q):
@@ -82,10 +85,10 @@ def gaussian_binomial(m, k, Q):
 # -- shared geometry --------------------------------------------------------
 
 
-def incidence_zero_matrix(n, ctx, u):
-    """Bit-packed incidence of every hyperplane with the points pts[u]:
-    row i, unpacked with np.unpackbits, is True at column c iff the c-th
-    point of pts[u] lies on hyperplane i (canonical orders); the padding
+def incidence_zero_matrix(n, ctx, upts):
+    """Bit-packed incidence of every hyperplane with the points upts, rows
+    of point_array(n, ctx): row i, unpacked with np.unpackbits, is True at
+    column c iff upts[c] lies on hyperplane i (canonical order); the padding
     bits are 0.
 
     In canonical order every hyperplane but the last, e_n, is one of a run
@@ -94,7 +97,6 @@ def incidence_zero_matrix(n, ctx, u):
     dot values V of these prefixes with the points' first n coordinates
     once, and a run's Q rows are a_n x_n == -V, one table compare each."""
     Q = ctx.order
-    upts = point_array(n, ctx)[u]
     Z = np.empty((num_points(n, ctx.q), (len(upts) + 7) // 8), dtype=np.uint8)
     last = ctx.mul_table[:, upts[:, n]]  # a_n x_n for every a_n
     for a, b, V in incidence_blocks(point_array(n - 1, ctx), upts[:, :n], ctx):
@@ -105,26 +107,33 @@ def incidence_zero_matrix(n, ctx, u):
     return Z
 
 
-def _dual_line_blocks(n):
-    """The RREF layout of the dual lines of P^n, block by block in catalog
-    order: pivots c1 < c2 (r1 has its leading 1 at c1, r2 at c2), the
-    positions `mid` between them, where only r1 has a free digit, and the
-    positions `tail` after c2, where r1 and r2 each have one.  A block's
-    lines run over its free digits as a base-Q number: r1's mid digits, r1's
-    tail digits, then r2's tail digits."""
+def _dual_line_digits(n, Q):
+    """The dual lines of P^n in RREF, in catalog order, at most _LINE_SLICE
+    at a time: yields (c1, c2, mid, tail, d).  r1 has its leading 1 at c1,
+    r2 at c2 > c1; at the positions `mid` between them only r1 has a free
+    digit, at the positions `tail` after c2 both have one.  A block's lines
+    run over its free digits as a base-Q number, listed in d: r1's mid
+    digits, r1's tail digits, then r2's tail digits.  A slice fixes the
+    leading digits (int32 scalars in d), so it is a contiguous run of lines;
+    the other digits are int32 broadcast grids, one axis each."""
     for c1 in range(n + 1):
         for c2 in range(c1 + 1, n + 1):
-            yield c1, c2, range(c1 + 1, c2), range(c2 + 1, n + 1)
+            mid, tail = range(c1 + 1, c2), range(c2 + 1, n + 1)
+            k = len(mid) + 2 * len(tail)
+            s = next(s for s in range(k + 1) if Q ** (k - s) <= _LINE_SLICE)
+            grid = list(np.ix_(*[np.arange(Q, dtype=np.int32)] * (k - s)))
+            for lead in itertools.product(np.arange(Q, dtype=np.int32), repeat=s):
+                yield c1, c2, mid, tail, list(lead) + grid
 
 
 def dual_line_catalog(n, ctx):
     """Member hyperplane ranks of every pencil, one row per codimension-2
-    subspace, via direct RREF enumeration of dual lines (_dual_line_blocks).
+    subspace, via direct RREF enumeration of dual lines (_dual_line_digits).
 
     Member 0 is r2; member 1 + b is r1 + b r2, which has its leading 1 at c1,
     r1's digits before c2, b at c2 and r1_j + b r2_j after c2.  So every
-    rank is a sum of terms in at most two free digits and b, and a (c1, c2)
-    block is one broadcast sum over its free digits and its Q + 1 members."""
+    rank is a sum of terms in at most two free digits and b, and a slice of
+    lines is one broadcast sum over its free digits and its Q + 1 members."""
     Q = ctx.order
     offs = _rank_offsets(n, Q)
     assert offs[-1] < 2**31, "ranks would overflow int32"
@@ -135,22 +144,20 @@ def dual_line_catalog(n, ctx):
     comb = comb.astype(np.int32)
     cat = np.empty((gaussian_binomial(n + 1, 2, Q), Q + 1), dtype=np.int32)
     a = 0
-    for c1, c2, mid, tail in _dual_line_blocks(n):
-        k = len(mid) + 2 * len(tail)
-        cnt = Q**k
-        mem = cat[a : a + cnt].reshape((Q,) * k + (Q + 1,))
-        first = [offs[c2]]  # member 0
-        rest = [offs[c1] + w[c2] * e]  # members 1 .. Q, b on the last axis
-        for i, j in enumerate(mid):
-            rest.append(_along(w[j] * e, (i,), k + 1))
-        for i, j in enumerate(tail):
-            x, y = len(mid) + i, len(mid) + len(tail) + i
-            first.append(_along(w[j] * e, (y,), k))
-            rest.append(_along(w[j] * comb, (x, y, k), k + 1))
+    for c1, c2, mid, tail, d in _dual_line_digits(n, Q):
+        m, t = len(mid), len(tail)
+        r1, r2 = d[: m + t], d[m + t :]
+        shape = np.broadcast_shapes(*map(np.shape, d))
+        cnt = math.prod(shape)
+        mem = cat[a : a + cnt].reshape(shape + (Q + 1,))
         # the partial sums grow one axis at a time, so only the last
-        # addition spans the whole block
-        mem[..., 0] = functools.reduce(np.add, first)
-        mem[..., 1:] = functools.reduce(np.add, rest)
+        # addition spans the whole slice
+        mem[..., 0] = sum((w[j] * y for j, y in zip(tail, r2)), offs[c2])
+        head = sum((w[j] * x for j, x in zip(mid, r1)), np.int32(offs[c1]))
+        mem[..., 1:] = sum(
+            (w[j] * comb[x, y] for j, x, y in zip(tail, r1[m:], r2)),
+            head[..., None] + w[c2] * e,
+        )
         a += cnt
     assert a == len(cat)
     return cat
@@ -158,17 +165,14 @@ def dual_line_catalog(n, ctx):
 
 def dual_gram_keys(n, ctx):
     """Dual Gram key of every dual line of P^n under the standard form, in
-    dual_line_catalog's row order, yielded one block, or slice of a block,
+    dual_line_catalog's row order, yielded one slice of _dual_line_digits
     at a time.
 
     The key of the line (r1, r2) is (G11 Q + G12) Q + G22 with G11 = <r1, r1>,
     G12 = <r1, r2> and G22 = <r2, r2> for the dual form <a, b> = sum a_j b_j^q.
     In RREF these are G11 = 1 + sum N(r1_j) over r1's free digits,
     G22 = 1 + sum N(r2_j) over r2's, and G12 = sum r1_j r2_j^q over the
-    tail, so each is a broadcast field sum over the block's free digits.  A
-    block of more than _GRAM_SLICE lines is cut into slices that fix its
-    leading free digits, each slice a contiguous run of the catalog, so the
-    working set stays bounded however large the block."""
+    tail, so each is a broadcast field sum over the slice's free digits."""
     Q = ctx.order
     add = ctx.add_table.astype(np.intp)
     nrm = ctx.norm_table.astype(np.intp)
@@ -178,32 +182,21 @@ def dual_gram_keys(n, ctx):
         # the partial sums grow one axis at a time
         return functools.reduce(lambda x, y: add[x, y], terms, start)
 
-    for _, _, mid, tail in _dual_line_blocks(n):
+    for _, _, mid, tail, d in _dual_line_digits(n, Q):
         m, t = len(mid), len(tail)
-        k = m + 2 * t
-        s = next(s for s in range(k + 1) if Q ** (k - s) <= _GRAM_SLICE)
-        free = [_along(np.arange(Q), (i,), k - s) for i in range(k - s)]
-        for lead in itertools.product(range(Q), repeat=s):
-            d = list(lead) + free  # r1's digits d[: m + t], r2's d[m + t :]
-            g11 = fsum((nrm[x] for x in d[: m + t]), 1)
-            g22 = fsum((nrm[y] for y in d[m + t :]), 1)
-            g12 = fsum((dot[x, y] for x, y in zip(d[m : m + t], d[m + t :])), 0)
-            key = g11 * (Q * Q) + (g12 * Q + g22)
-            yield np.broadcast_to(key, (Q,) * (k - s)).ravel()
-
-
-def _along(arr, axes, ndim):
-    """arr with its axes placed at `axes` of an ndim-dimensional broadcast."""
-    shape = [1] * ndim
-    for ax, size in zip(axes, arr.shape):
-        shape[ax] = size
-    return arr.reshape(shape)
+        r1, r2 = d[: m + t], d[m + t :]
+        g11 = fsum((nrm[x] for x in r1), 1)
+        g22 = fsum((nrm[y] for y in r2), 1)
+        g12 = fsum((dot[x, y] for x, y in zip(r1[m:], r2)), 0)
+        key = g11 * (Q * Q) + (g12 * Q + g22)
+        yield np.ravel(key)  # g11 and g22 span every free digit
 
 
 def hyperplane_tangency(n, q):
-    """Tangency kind of every canonical hyperplane of P^n (standard form)."""
+    """Tangency kind of every canonical hyperplane of P^n (standard form): it
+    is self-dual, so a is tangent iff sum N(a_t) = 0, as U_n's mask says."""
     ctx = make_field(q)
-    return classify_hyperplanes(standard_form(n, ctx), point_array(n, ctx))[0]
+    return variety_mask(standard_form(n, ctx))
 
 
 @dataclass
@@ -212,49 +205,44 @@ class _Geometry:
     q: int
     N: int
     Z: np.ndarray  # bit-packed hyperplane x variety-point incidence
-    u: np.ndarray  # variety membership mask over points
-    tangent: np.ndarray  # per-hyperplane tangency
-    S: np.ndarray  # per-hyperplane section counts (from classification)
+    tangent: np.ndarray  # per-hyperplane tangency, also U_n's point mask
+    S: np.ndarray  # per-hyperplane section counts (from tangency)
     planes: np.ndarray  # pencil member ranks per codim-2 subspace
     stages: dict  # stage wall times and work counts
 
 
-def _section_counts(n, q):
-    """Points of U_n on a tangent and on a non-tangent hyperplane."""
-    return 1 + q * q * nondegenerate_count(n - 2, q), nondegenerate_count(n - 1, q)
-
-
 def _variety_incidence(n, q, budget):
-    """The geometry of U_n that needs no pencils: the variety mask u, the
+    """The geometry of U_n that needs no pencils: U_n's points upts, the
     incidence Z, every hyperplane's tangency and section count S, and the
-    stage times.  S comes from the classification and is asserted equal to
+    stage times.  By self-duality one mask gives both U_n's points and its
+    tangent hyperplanes.  S comes from the tangency and is asserted equal to
     the popcounts of Z's rows."""
     ctx = make_field(q)
     N = num_points(n, q)
     if N * N > budget:
         raise BudgetExceeded(N * N, budget, what="incidence entries")
     t0 = time.time()
-    u = variety_mask(standard_form(n, ctx))
-    t1 = time.time()
-    Z = incidence_zero_matrix(n, ctx, u)
-    t2 = time.time()
     tangent = hyperplane_tangency(n, q)
-    S = np.where(tangent, *_section_counts(n, q)).astype(np.int64)
-    # classification counts must agree with the enumerated popcounts, exactly
+    upts = point_array(n, ctx)[tangent]
+    t1 = time.time()
+    Z = incidence_zero_matrix(n, ctx, upts)
+    t2 = time.time()
+    S = np.where(tangent, *hyperplane_section_counts(n, q)).astype(np.int64)
+    # the closed-form counts must agree with the enumerated popcounts, exactly
     enum_S = np.bitwise_count(Z).sum(axis=1, dtype=np.int64)
     assert np.array_equal(S, enum_S), "hyperplane section counts disagree"
     t3 = time.time()
     stages = {"mask_s": t1 - t0, "incidence_s": t2 - t1, "tangency_s": t3 - t2}
-    return u, Z, tangent, S, stages
+    return upts, Z, tangent, S, stages
 
 
 def build_geometry(n, q, budget=DEFAULT_POINT_BUDGET):
     """Incidence, tangency and pencil catalog of the variety."""
-    u, Z, tangent, S, stages = _variety_incidence(n, q, budget)
+    _, Z, tangent, S, stages = _variety_incidence(n, q, budget)
     t3 = time.time()
     planes = dual_line_catalog(n, make_field(q))
     stages.update(catalog_s=time.time() - t3, pencils=len(planes))
-    return _Geometry(n, q, len(Z), Z, u, tangent, S, planes, stages)
+    return _Geometry(n, q, len(Z), Z, tangent, S, planes, stages)
 
 
 # -- exhaustive triple search -------------------------------------------------
@@ -329,7 +317,7 @@ def exhaustive_triples(
     # from the unpacked variety columns: every pair's section count, and the
     # triple term, the points of each pencil's axis on hyperplane k, for
     # every (pencil, k)
-    Zu = np.unpackbits(geo.Z, axis=1, count=int(geo.u.sum())).astype(np.int64)
+    Zu = np.unpackbits(geo.Z, axis=1, count=int(geo.tangent.sum())).astype(np.int64)
     S, P = geo.S, _count_product(Zu, Zu.T)
     assert np.array_equal(np.diagonal(P), S), "pair counts disagree with S"
     Tline = _count_product(Zu[geo.planes[:, 0]] & Zu[geo.planes[:, 1]], Zu.T)
@@ -477,7 +465,7 @@ def pencil_triples_scan(n, q, budget=DEFAULT_POINT_BUDGET):
     # S takes one value on tangent and one on non-tangent hyperplanes, so a
     # pencil's best triple takes as many members of the larger kind as it
     # has, up to 3
-    s_tan, s_non = _section_counts(n, q)
+    s_tan, s_non = hyperplane_section_counts(n, q)
     larger = tmem if s_tan > s_non else Q + 1 - tmem
     top3 = 3 * min(s_tan, s_non) + abs(s_tan - s_non) * np.minimum(larger, 3)
     best_per_key = top3 - 2 * plane_count
@@ -568,14 +556,15 @@ def incidence_double_count(n, q, budget=DEFAULT_POINT_BUDGET):
     points; and the point/non-tangent-hyperplane incidences sum identically
     from both sides.
     """
-    u, Z, kinds, _, _ = _variety_incidence(n, q, budget)
+    upts, Z, kinds, _, _ = _variety_incidence(n, q, budget)
     ctx = make_field(q)
     f = standard_form(n, ctx)
-    upts = point_array(n, ctx)[u]
     nU = len(upts)
     # tangent covectors, one per variety point
     cov_ranks = point_rank_array(tangent_hyperplanes(f, upts), ctx)
-    assert len(np.unique(cov_ranks)) == nU, "tangent map must be injective"
+    assert np.array_equal(np.sort(cov_ranks), np.flatnonzero(kinds)), (
+        "the tangent map must be a bijection onto the tangent hyperplanes"
+    )
     # tangency incidence among variety points: point b lies on the tangent
     # hyperplane at point a iff bit b of Z's row at that covector is set
     tangent_through = np.unpackbits(Z[cov_ranks], axis=1, count=nU).sum(

@@ -141,6 +141,14 @@ def test_verify_affine(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("q,n", [(2, 4), (3, 2)])
+def test_verify_affine_outside_its_range_exits_2(capsys, q, n):
+    # d = 3 > q at q = 2, and n < 3: a named usage error, not a traceback
+    code, out = run_cli(capsys, "verify", "--suite", "affine", "--q", str(q), "--n", str(n))
+    assert code == 2
+    assert json.loads(out)["error"] == "PreconditionViolated"
+
+
 def test_search_random_deterministic(tmp_path, capsys):
     args = [
         "search", "--q", "2", "--n", "4", "--mode", "random",

@@ -11,8 +11,10 @@ from hermvar.cubics import arrangement, max_cubic_intersection
 from hermvar.errors import BudgetExceeded, ExceedsCap, NotPrimePower, OutOfRange
 from hermvar.field import make_field
 from hermvar.hermitian import (
+    classify_hyperplanes,
     classify_section,
     contains,
+    hyperplane_section_counts,
     nondegenerate_count,
     section_count,
     standard_form,
@@ -98,7 +100,8 @@ def scalar_incidence(n, q):
 @pytest.mark.parametrize("n,q", GRIDS)
 def test_incidence_zero_matrix_matches_scalar_dot(n, q):
     ctx = make_field(q)
-    Z = incidence_zero_matrix(n, ctx, variety_mask(standard_form(n, ctx)))
+    upts = point_array(n, ctx)[variety_mask(standard_form(n, ctx))]
+    Z = incidence_zero_matrix(n, ctx, upts)
     want = scalar_incidence(n, q)
     n_u = want.shape[1]
     assert Z.dtype == np.uint8 and Z.shape == (num_points(n, q), (n_u + 7) // 8)
@@ -112,15 +115,36 @@ def test_hyperplane_tangency_matches_section_counts(n, q):
     # tangent iff the section has 1 + q^2 |U_{n-2}| points, else |U_{n-1}|
     section = scalar_incidence(n, q).sum(axis=1)
     tangent_count = 1 + q * q * nondegenerate_count(n - 2, q)
-    assert np.array_equal(hyperplane_tangency(n, q), section == tangent_count)
+    tangent = hyperplane_tangency(n, q)
+    assert np.array_equal(tangent, section == tangent_count)
     assert set(section.tolist()) == {tangent_count, nondegenerate_count(n - 1, q)}
+    # the generic classification stays the oracle of the self-dual shortcut
+    ctx = make_field(q)
+    generic = classify_hyperplanes(standard_form(n, ctx), point_array(n, ctx))[0]
+    assert np.array_equal(tangent, generic)
+    assert np.array_equal(section, np.where(generic, *hyperplane_section_counts(n, q)))
+
+
+def test_geometry_needs_no_generic_classification(monkeypatch):
+    # tangency comes from the variety mask by self-duality, so neither the
+    # geometry nor the incidence double count classifies a hyperplane
+    from hermvar import hermitian, search
+
+    def no_classification(*args, **kwargs):
+        raise AssertionError("classify_hyperplanes called")
+
+    monkeypatch.setattr(hermitian, "classify_hyperplanes", no_classification)
+    monkeypatch.setattr(search, "classify_hyperplanes", no_classification, raising=False)
+    geo = build_geometry(4, 2)
+    assert int(geo.tangent.sum()) == 165
+    rep = incidence_double_count(4, 2)
+    assert rep.tangent_hyperplanes == rep.variety_points == 165
 
 
 def test_build_geometry_totals():
     geo = build_geometry(4, 2)
     assert geo.N == 341
-    assert int(geo.u.sum()) == 165
-    assert int(geo.tangent.sum()) == 165
+    assert int(geo.tangent.sum()) == 165  # U_4's points, and its tangent hyperplanes
     assert len(geo.planes) == 5797
     # axis section counts live in the three admissible shapes
     assert set(axis_counts(geo).tolist()) == {9, 13, 5}
@@ -334,18 +358,49 @@ def test_gram_keys_match_popcounts_row_for_row(n, q):
 
 @pytest.mark.parametrize("n,q", [(4, 3), (5, 2), (3, 4)])
 def test_gram_key_slices_cover_the_catalog_in_order(n, q, monkeypatch):
-    # slices that fix leading free digits concatenate to the unsliced keys
+    # slices that fix leading free digits concatenate to the unsliced keys,
+    # and the catalog built slice by slice is the unsliced one
     from hermvar import search
 
     ctx = make_field(q)
     whole = list(dual_gram_keys(n, ctx))
     assert len(whole) == math.comb(n + 1, 2)  # one array per (c1, c2) block
+    cat = dual_line_catalog(n, ctx)
     limit = ctx.order**2
-    monkeypatch.setattr(search, "_GRAM_SLICE", limit)
+    monkeypatch.setattr(search, "_LINE_SLICE", limit)
     sliced = list(dual_gram_keys(n, ctx))
     assert len(sliced) > len(whole)
     assert max(len(k) for k in sliced) <= limit
     assert np.array_equal(np.concatenate(sliced), np.concatenate(whole))
+    assert np.array_equal(dual_line_catalog(n, ctx), cat)
+
+
+# SHA-256 of dual_line_catalog's bytes and of the concatenated Gram keys,
+# unchanged since the catalog and the keys had one RREF walk each
+LINE_DIGESTS = {
+    (4, 2): (
+        "39a91a07ac472230245a87de2f1ddb5048e2a9d4e7014afdc8e78c933689e232",
+        "508259a9b10ea30bae0657c008e6795372acbc1a140bed84c15b6a84f899b9af",
+    ),
+    (5, 2): (
+        "ed7f339d061452e64f7f4274774c69ec3a8954d97a70d9fb51edf1ca54ea86de",
+        "fca05b110e35d86b15a0bc0f148d112f2d35695d18eebe1f5bef80b1ff334aa7",
+    ),
+    (4, 3): (
+        "d65414bca87ce45f99a73e975c9cbec64f9b9fa9558c171321544796f00de014",
+        "0dc440b7968c834b3ea673da29dbc0037f7ed9ed262b1707db1025aad668c74f",
+    ),
+}
+
+
+@pytest.mark.parametrize("n,q", sorted(LINE_DIGESTS))
+def test_catalog_and_gram_key_digests(n, q):
+    ctx = make_field(q)
+    cat = dual_line_catalog(n, ctx)
+    keys = np.concatenate(list(dual_gram_keys(n, ctx)))
+    assert cat.dtype == np.int32 and keys.dtype == np.int64
+    got = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (cat, keys))
+    assert got == LINE_DIGESTS[n, q]
 
 
 def unitary_order(m, q):
