@@ -104,10 +104,14 @@ def point_array(n, ctx):
     """All canonical points as an (N, n+1) uint8 array, in enumeration order.
 
     Cached per (n, q); treat the result as read-only.  It is built one
-    pivot block at a time and concatenated: built in place, the same array
-    left the enumeration oracles that run after it slower (enum_scan at
-    (4,7), about 9%, though they do not read it), an effect of the
-    allocator's state after the build.
+    pivot block at a time (point_rows) and concatenated.  Built in place
+    instead, by one point_rows(n, ctx, 0, N) call, the same bytes cut the
+    benchmark's peak RSS at (4,7) from 91 to 74 MiB, but left the jobs run
+    after it 3-39% slower (median about +23%, 3+3 alternating runs of
+    enum_scan and random_cubics), though no job reads the array; the same
+    was found when the prefix scans came in.  A likely cause, not verified,
+    is glibc raising its mmap threshold when the freed 28.8 MB block goes
+    back to the allocator.
     """
     key = (n, ctx.q)
     arr = _POINT_ARRAYS.get(key)
@@ -121,27 +125,40 @@ def point_array(n, ctx):
     return arr
 
 
-_ROW_STEP = 1 << 18  # rows whose digits point_rows computes at once
-
-
 def point_rows(n, ctx, a, b):
     """Rows a .. b-1 of point_array(n, ctx), built without the whole array
-    and not cached: in each pivot block k, the coordinates after the pivot
-    are the block offset's base-Q digits, computed _ROW_STEP rows at a time
-    so the int64 offsets take at most 2 MB."""
+    and not cached.
+
+    In pivot block k a row is 1 at k, then the block offset's n - k base-Q
+    digits.  The range's part of the block is covered by whole runs of
+    Q^s rows, s as large as the part allows, so at most Q + 1 runs.  As in
+    search._dual_line_digits, a run fixes its leading digits, the run
+    number's, written once per run; its s low digits are np.arange(Q)
+    broadcast over one axis each of the (runs, Q, ..., Q) grid.  The part
+    is then sliced out of the runs: no digit is divided out per row."""
     Q = ctx.order
     offs = _rank_offsets(n, Q)
-    out = np.zeros((b - a, n + 1), dtype=np.uint8)
+    digits = np.arange(Q, dtype=np.uint8)
+    parts = []
     for k in range(n + 1):
-        for lo in range(max(a, offs[k]), min(b, offs[k + 1]), _ROW_STEP):
-            hi = min(lo + _ROW_STEP, b, offs[k + 1])
-            block = out[lo - a : hi - a]
-            block[:, k] = 1
-            t = np.arange(lo - offs[k], hi - offs[k], dtype=np.int64)
-            for j in range(n, k, -1):
-                block[:, j] = t % Q
-                t //= Q
-    return out
+        t0, t1 = max(a, offs[k]) - offs[k], min(b, offs[k + 1]) - offs[k]
+        if t0 >= t1:
+            continue
+        s = next(s for s in range(n - k, -1, -1) if Q**s <= t1 - t0)
+        R = Q**s
+        r0, r1 = t0 // R, -(-t1 // R)
+        grid = np.zeros((r1 - r0,) + (Q,) * s + (n + 1,), dtype=np.uint8)
+        grid[..., k] = 1
+        for i in range(s):
+            grid[..., n - i] = digits.reshape((Q,) + (1,) * i)
+        run = np.arange(r0, r1)
+        for j in range(n - s, k, -1):
+            grid[..., j] = (run % Q).reshape((-1,) + (1,) * s)
+            run //= Q
+        parts.append(grid.reshape(-1, n + 1)[t0 - r0 * R : t1 - r0 * R])
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts or [np.zeros((0, n + 1), dtype=np.uint8)])
 
 
 def incidence_blocks(covs, pts, ctx):

@@ -542,6 +542,7 @@ class IncidenceReport:
     tangent_count_uniform: bool
     incidence_left: int
     incidence_right: int
+    stages: dict  # stage wall times and work counts, not serialized
 
     def to_json_dict(self):
         return _json_fields(self, "incidence")
@@ -554,9 +555,12 @@ def incidence_double_count(n, q, budget=DEFAULT_POINT_BUDGET):
     number of hyperplanes; the tangent ones among them number
     q^2 |U_{n-2}| + 1; tangent hyperplanes are in bijection with variety
     points; and the point/non-tangent-hyperplane incidences sum identically
-    from both sides.
+    from both sides.  The report's `stages` holds _variety_incidence's stage
+    times, `count_s` for the tangent map and the column sums after them,
+    and the numbers of hyperplanes and variety points.
     """
-    upts, Z, kinds, _, _ = _variety_incidence(n, q, budget)
+    upts, Z, kinds, _, stages = _variety_incidence(n, q, budget)
+    t0 = time.time()
     ctx = make_field(q)
     f = standard_form(n, ctx)
     nU = len(upts)
@@ -578,6 +582,7 @@ def incidence_double_count(n, q, budget=DEFAULT_POINT_BUDGET):
     assert (hyps_through == hyps_through[0]).all()
     left = int(((hyps_through - tangent_through)).sum())
     right = int(np.bitwise_count(Z[~kinds]).sum(dtype=np.int64))
+    stages.update(count_s=time.time() - t0, hyperplanes=len(Z), points=nU)
     return IncidenceReport(
         n=n,
         q=q,
@@ -590,6 +595,7 @@ def incidence_double_count(n, q, budget=DEFAULT_POINT_BUDGET):
         tangent_count_uniform=uniform,
         incidence_left=left,
         incidence_right=right,
+        stages=stages,
     )
 
 

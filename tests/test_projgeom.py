@@ -64,24 +64,63 @@ def test_point_array_matches_stream(n, q):
         assert tuple(int(x) for x in arr[i]) == p.coords
 
 
-def test_point_rows_in_small_steps_match_the_stream(monkeypatch):
-    # steps of 7 rows split every pivot block of more than 7 rows; the whole
-    # array and random slices equal the scalar enumeration and the rows built
-    # in one step
+def _stream(n, ctx):
+    return np.array([P.coords for P in enumerate_points(n, ctx)], dtype=np.uint8)
+
+
+@pytest.mark.parametrize("n,q", [(1, 2), (1, 4), (2, 2), (3, 2), (2, 3)])
+def test_point_rows_every_range_matches_the_stream(n, q):
+    ctx = make_field(q)
+    want = _stream(n, ctx)
+    N = len(want)
+    assert np.array_equal(point_array(n, ctx), want)
+    for a in range(N + 1):
+        for b in range(a, N + 1):
+            got = point_rows(n, ctx, a, b)
+            assert got.dtype == np.uint8 and got.shape == (b - a, n + 1)
+            assert np.array_equal(got, want[a:b]), (a, b)
+
+
+@pytest.mark.parametrize("n,q", [(3, 3), (3, 4)])
+def test_point_rows_edge_and_random_ranges_match_the_stream(n, q):
+    # runs of Q^s rows: ends on and next to multiples of Q^s inside each
+    # pivot block, single rows, empty ranges, ranges across pivot blocks
+    ctx = make_field(q)
+    Q = ctx.order
+    want = _stream(n, ctx)
+    N = len(want)
+    offs = projgeom._rank_offsets(n, Q)
+    ends = {0, N}
+    for k in range(n + 1):
+        for s in range(1, n - k + 1):
+            for m in range(0, Q ** (n - k) + 1, Q**s):
+                ends.update(offs[k] + m + d for d in (-1, 0, 1))
+    ends = np.array(sorted(e for e in ends if 0 <= e <= N))
     rng = np.random.default_rng(5)
-    cases = [(1, 4), (2, 2), (3, 2), (2, 3), (3, 3)]
-    ctxs = {q: make_field(q) for _, q in cases}
-    one_step = {(n, q): point_rows(n, ctxs[q], 0, num_points(n, q)) for n, q in cases}
-    monkeypatch.setattr(projgeom, "_ROW_STEP", 7)
-    monkeypatch.setattr(projgeom, "_POINT_ARRAYS", {})
-    for n, q in cases:
-        ctx = ctxs[q]
-        want = np.array([P.coords for P in enumerate_points(n, ctx)], dtype=np.uint8)
-        assert np.array_equal(want, one_step[n, q])
-        assert np.array_equal(point_array(n, ctx), want)
-        N = len(want)
-        for a, b in np.sort(rng.integers(0, N + 1, size=(20, 2)), axis=1).tolist():
-            assert np.array_equal(point_rows(n, ctx, a, b), want[a:b]), (n, q, a, b)
+    ranges = [(e, e) for e in ends] + [(e, e + 1) for e in ends if e < N]
+    ranges += np.sort(rng.choice(ends, size=(300, 2)), axis=1).tolist()
+    ranges += np.sort(rng.integers(0, N + 1, size=(200, 2)), axis=1).tolist()
+    assert any(a < offs[1] < offs[2] < b for a, b in ranges)
+    for a, b in ranges:
+        got = point_rows(n, ctx, a, b)
+        assert got.shape == (b - a, n + 1)
+        assert np.array_equal(got, want[a:b]), (a, b)
+
+
+def test_point_rows_at_4_7_are_canonical_and_ranked_in_order():
+    # oracle independent of point_rows: row i has rank a + i, and its first
+    # nonzero coordinate is 1
+    ctx = make_field(7)
+    N = num_points(4, 7)
+    rng = np.random.default_rng(7)
+    starts = rng.integers(0, N, size=12).tolist() + [0, 49**4 - 1, N - 50]
+    for a in starts:
+        b = min(N, a + int(rng.integers(1, 200_000)))
+        rows = point_rows(4, ctx, a, b)
+        assert rows.shape == (b - a, 5)
+        assert np.array_equal(point_rank_array(rows, ctx), np.arange(a, b))
+        lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
+        assert (lead == 1).all()
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (3, 3), (4, 2)])

@@ -510,6 +510,20 @@ def test_incidence_double_count_values():
         incidence_double_count(4, 7)
 
 
+def test_incidence_double_count_stages_are_not_serialized():
+    rep = incidence_double_count(4, 2)
+    stages = rep.stages
+    assert set(stages) == {
+        "mask_s", "incidence_s", "tangency_s", "count_s", "hyperplanes", "points"
+    }
+    assert stages["hyperplanes"] == rep.hyperplanes_total == 341
+    assert stages["points"] == rep.variety_points == 165
+    for key in ("mask_s", "incidence_s", "tangency_s", "count_s"):
+        assert stages[key] >= 0
+    assert "stages" not in rep.to_json_dict()
+    assert "stages" not in report_json(rep)
+
+
 def test_random_cubic_sample_deterministic():
     a = random_cubic_sample(4, 2, trials=30, seed=7)
     b = random_cubic_sample(4, 2, trials=30, seed=7)

@@ -1,7 +1,8 @@
-"""Static checks on the package source."""
+"""Static checks on the package source and the benchmark records."""
 
 import ast
 import importlib
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -65,3 +66,28 @@ def test_no_unused_imports():
         }
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, (path.name, sorted(imported - used))
+
+
+def _runs(side):
+    """A metric's runs on one side: a list, or in the older records a dict
+    {"runs": [...], "median", "q1", "q3"}."""
+    return side["runs"] if isinstance(side, dict) else side
+
+
+def test_bench_records_are_complete():
+    # every BENCH_*.json at the root records what was measured, against
+    # which commit, how and where, with paired before/after runs
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        doc = json.loads(path.read_text())
+        for key in ("change", "parent_commit", "command", "protocol", "host", "workloads"):
+            assert key in doc, (path.name, key)
+        assert doc["workloads"], path.name
+        for name, workload in doc["workloads"].items():
+            assert workload["metrics"], (path.name, name)
+            for metric, runs in workload["metrics"].items():
+                where = (path.name, name, metric)
+                before, after = _runs(runs["before"]), _runs(runs["after"])
+                assert isinstance(before, list) and isinstance(after, list), where
+                assert before and len(before) == len(after), where
