@@ -2,9 +2,12 @@
 codimension-2 space with non-degenerate section, all tangent in odd
 dimension and all non-tangent in even dimension.
 
-The even case at q=2 is special: pencils over non-degenerate sections
-contain exactly q^2-q = 2 non-tangent members, so the configuration cannot
-exist there and the builder reports that instead of relaxing.
+Every pencil over a non-degenerate axis has q+1 tangent and q^2-q
+non-tangent members, so the builder takes the first such pencil through
+the first canonical hyperplane and its first three members of the wanted
+kind.  The even case at q=2 is special: that pencil, like every other,
+has only q^2-q = 2 non-tangent members, so the configuration cannot exist
+there and the builder reports the count instead of relaxing.
 """
 
 from hermvar import (

@@ -142,6 +142,8 @@ def _suite_sequences(q, n, **_):
 
 
 def _suite_sections(q, n, seed=0, budget=DEFAULT_POINT_BUDGET, **_):
+    if n < 2:
+        raise OutOfRange(f"n={n} must be >= 2 for codimension-2 sections")
     ctx = make_field(q)
     f = standard_form(n, ctx)
     rng = np.random.default_rng(seed)
@@ -171,10 +173,11 @@ def _suite_sections(q, n, seed=0, budget=DEFAULT_POINT_BUDGET, **_):
     return checks, []
 
 
-def _suite_incidence(q, n, budget=DEFAULT_POINT_BUDGET, **_):
+def _suite_incidence(q, n, stages, budget=DEFAULT_POINT_BUDGET, **_):
     if n < 2:
         raise OutOfRange(f"n={n} must be >= 2 for the tangent incidence")
     rep = incidence_double_count(n, q, budget=budget)
+    stages.update(rep.stages)
     want = hyperplane_section_counts(n, q)[0]
     checks = [
         _assertion("tangent_count_uniform", rep.tangent_count_uniform, rep.point_tangent_count),
@@ -233,16 +236,19 @@ def _suite_extremal(q, n, budget=DEFAULT_POINT_BUDGET, **_):
 
 
 def _suite_affine(q, n, seed=0, budget=DEFAULT_POINT_BUDGET, **_):
+    d = 3
+    if d > q or n < 3:
+        raise PreconditionViolated(f"need degree d={d} <= q={q} and n >= 3")
     ctx = make_field(q)
     f = standard_form(n, ctx)
     rng = np.random.default_rng(seed)
     bad = 0
     for _ in range(50):
-        C, sigma, pi = make_affine_bound_instance(n, 3, ctx, rng)
+        C, sigma, pi = make_affine_bound_instance(n, d, ctx, rng)
         if not check_affine_section_bound(C, f, sigma, pi, budget=budget):
             bad += 1
     return [
-        _assertion("affine_section_bound[50 instances, d=3]", bad == 0, {"violations": bad})
+        _assertion(f"affine_section_bound[50 instances, d={d}]", bad == 0, {"violations": bad})
     ], []
 
 
@@ -283,7 +289,8 @@ def _cmd_count(args, budget):
 
 def _cmd_verify(args, budget):
     fn = _SUITE_FN[args.suite]
-    checks, info = fn(args.q, args.n, seed=args.seed, budget=budget)
+    stages = {}
+    checks, info = fn(args.q, args.n, seed=args.seed, budget=budget, stages=stages)
     passed = all(c["passed"] for c in checks)
     report = {
         "schema": 1,
@@ -294,6 +301,7 @@ def _cmd_verify(args, budget):
         "informational": info,
         "passed": passed,
     }
+    report["_stages"] = stages or None  # volatile, emitted under "timestamp"
     return report, passed
 
 

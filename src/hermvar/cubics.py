@@ -27,7 +27,6 @@ from .errors import (
 )
 from .hermitian import (
     DEFAULT_POINT_BUDGET,
-    classify_hyperplane,
     classify_hyperplanes,
     classify_section,
     eval_form_at,
@@ -39,6 +38,7 @@ from .projgeom import (
     Hyperplane,
     LinearSubspace,
     combine_rows,
+    enumerate_hyperplanes,
     enumerate_points,
     incidence_blocks,
     intersect_hyperplanes,
@@ -51,8 +51,6 @@ from .projgeom import (
     rref,
     subspace_point_array,
 )
-
-_EXTREMAL_SCAN_LIMIT = 64  # non-degenerate pencils build_extremal scans
 
 
 @dataclass(frozen=True)
@@ -375,53 +373,40 @@ def build_extremal(f):
     through a common codimension-2 space with non-degenerate section, all
     tangent for odd n and all non-tangent for even n.
 
-    Candidate spaces are intersections of pairs of non-tangent hyperplanes
-    taken in canonical order; each non-degenerate candidate's pencil is
-    scanned for three members of the required tangency (smallest canonical
-    covectors win).  If every scanned pencil falls short, or the first
-    _EXTREMAL_SCAN_LIMIT do, the failure is reported, never silently
-    relaxed.
+    Every pencil over a non-degenerate axis lies in one unitary orbit, with
+    q+1 tangent and q^2-q non-tangent members (Bose & Chakravarti 1966), so
+    the first one decides: the pencil through the first canonical hyperplane
+    and the first later one whose common axis has a non-degenerate section.
+    Its first three members of the wanted kind, in canonical order, are
+    returned.  If it has fewer, so has every such pencil, and the failure is
+    reported, never silently relaxed.
     """
     ctx = f.ctx
     n = f.n
     if n < 4:
         raise OutOfRange(f"n={n} must be >= 4")
     want_tangent = bool(n % 2)
-    want = "tangent" if want_tangent else "non_tangent"
-    non_tangent = []
-    seen = set()
-    scanned = []
-    for P in enumerate_points(n, ctx):
-        h = Hyperplane(P.coords)
-        if classify_hyperplane(f, h).kind != "non_tangent":
-            continue
-        for prev in non_tangent:
-            sub = intersect_hyperplanes([prev, h], ctx)
-            if sub in seen:
-                continue
-            seen.add(sub)
-            if classify_section(f, sub).v != -1:
-                continue
-            pencil = pencil_through(sub, ctx)
-            tangent, _ = classify_hyperplanes(
-                f, np.array([m.covector for m in pencil], dtype=np.uint8)
-            )
-            members = [m for m, t in zip(pencil, tangent) if t == want_tangent]
-            if len(members) >= 3:
-                return arrangement(tuple(members[:3]), f)
-            scanned.append(len(members))
-            if len(scanned) >= _EXTREMAL_SCAN_LIMIT:
-                raise InsufficientPencilMembers(
-                    f"none of {len(scanned)} scanned non-degenerate pencils "
-                    f"contains 3 {want} hyperplanes "
-                    f"(qualifying members seen: {sorted(set(scanned))})"
-                )
-        non_tangent.append(h)
-    raise InsufficientPencilMembers(
-        f"exhausted all candidate pencils; none of {len(scanned)} "
-        f"non-degenerate pencils contains 3 {want} hyperplanes"
+    hyps = enumerate_hyperplanes(n, ctx)
+    first = next(hyps)
+    for h in hyps:
+        axis = intersect_hyperplanes([first, h], ctx)
+        if classify_section(f, axis).v == -1:
+            break
+    else:
+        raise AssertionError("no non-degenerate axis in the first hyperplane")
+    pencil = pencil_through(axis, ctx)
+    tangent, _ = classify_hyperplanes(
+        f, np.array([m.covector for m in pencil], dtype=np.uint8)
     )
-
+    members = [m for m, t in zip(pencil, tangent) if t == want_tangent]
+    if len(members) < 3:
+        want = "tangent" if want_tangent else "non_tangent"
+        raise InsufficientPencilMembers(
+            f"the pencil over the non-degenerate axis {[list(r) for r in axis.basis]} "
+            f"has {len(members)} {want} members, as has every pencil over a "
+            f"non-degenerate axis (qualifying members seen: [{len(members)}])"
+        )
+    return arrangement(tuple(members[:3]), f)
 
 
 # -- divisibility by linear forms ---------------------------------------------

@@ -39,70 +39,22 @@ def is_prime_power(q):
     return (q, 1)
 
 
-def _poly_mul_mod(a, b, p, modulus):
-    """Multiply coefficient vectors a, b over F_p modulo the monic polynomial
-    x^m + modulus (modulus holds the low-order coefficients)."""
-    m = len(modulus)
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    # reduce: x^m == -modulus
-    for k in range(len(prod) - 1, m - 1, -1):
-        c = prod[k]
-        if c:
-            prod[k] = 0
-            for j in range(m):
-                prod[k - m + j] = (prod[k - m + j] - c * modulus[j]) % p
-    return prod[:m] + [0] * (m - len(prod))
-
-
-def _poly_rem(num, den, p):
-    """Remainder of polynomial division over F_p (coefficient lists, low first)."""
-    num = list(num)
-    dd = len(den) - 1
-    while len(den) > 1 and den[-1] == 0:
-        den = den[:-1]
-        dd -= 1
-    inv_lead = pow(den[-1], p - 2, p)
-    for k in range(len(num) - 1, dd - 1, -1):
-        c = num[k]
-        if c:
-            f = (c * inv_lead) % p
-            for j in range(dd + 1):
-                num[k - dd + j] = (num[k - dd + j] - f * den[j]) % p
-    return num[:dd] if dd > 0 else []
-
-
-def _is_irreducible(coeffs, p):
-    """Trial division by all monic polynomials of degree <= m//2."""
-    m = len(coeffs) - 1
-    for d in range(1, m // 2 + 1):
-        for t in range(p**d):
-            den = []
-            tt = t
-            for _ in range(d):
-                den.append(tt % p)
-                tt //= p
-            den.append(1)
-            if not any(_poly_rem(coeffs, den, p)):
-                return False
-    return True
-
-
-def _smallest_irreducible(p, m):
-    """Lexicographically smallest monic irreducible of degree m over F_p,
-    ordering candidates by the base-p value of their low coefficient vector."""
-    for t in range(p**m):
-        low = []
-        tt = t
-        for _ in range(m):
-            low.append(tt % p)
-            tt //= p
-        if _is_irreducible(low + [1], p):
-            return tuple(low)
-    raise AssertionError("no irreducible polynomial found")  # unreachable
+def _mul_rows(a, digits, low, p, add_table):
+    """Rows of the product table of F_p[x]/(x^m + low): out[i, b] is the
+    index of a[i] * b for each base-p digit vector a[i] and each index b,
+    whose digits are digits[b].  Builds a * b = sum_j b_j (a x^j); the
+    companion matrix of x^m + low multiplies a digit vector by x."""
+    m = len(low)
+    weights = p ** np.arange(m)
+    times_x = np.eye(m, k=1, dtype=np.int64)
+    times_x[-1] = -low
+    out = np.zeros((len(a), len(digits)), dtype=np.uint8)
+    for j in range(m):
+        # terms[c]: the indices of c * a x^j, for each digit c
+        terms = ((np.arange(p)[:, None, None] * a) % p) @ weights
+        out = add_table[out, terms[digits[:, j]].T]
+        a = (a @ times_x) % p
+    return out
 
 
 class FieldCtx:
@@ -123,9 +75,7 @@ class FieldCtx:
         self.q = q
         self.p, self.e = pe
         self.order = q * q
-        m = 2 * self.e
-        self.modulus = _smallest_irreducible(self.p, m)
-        self._build_tables(m)
+        self._build_tables(2 * self.e)
         self._check_invariants()
 
     def _build_tables(self, m):
@@ -142,37 +92,32 @@ class FieldCtx:
         self.add_table = (summed @ weights).astype(np.uint8)
         self.neg_table = (((-digits) % p) @ weights).astype(np.uint8)
 
-        # exp/log from a multiplicative generator found by scalar search
-        mod = list(self.modulus)
-        exp = [1]
-        gen = None
+        # the modulus: the first candidate low part, in base-p order, with
+        # no zero product between a residue of degree <= m/2 and a nonzero
+        # residue; a reducible x^m + low has a factor of that degree, an
+        # irreducible one has no zero divisors
+        low_degree = digits[1 : p ** (m // 2 + 1)]
+        low = next(
+            low for low in digits
+            if _mul_rows(low_degree, digits[1:], low, p, self.add_table).all()
+        )
+        self.modulus = tuple(int(c) for c in low)
+        mul = self.mul_table = _mul_rows(digits, digits, low, p, self.add_table)
+
+        # exp/log from the smallest element of multiplicative order Q - 1
         for g in range(2, Q):
-            gd = [int(x) for x in digits[g]]
-            cur = gd
-            powers = [1, g]
-            while True:
-                cur = _poly_mul_mod(cur, gd, p, mod)
-                val = int(sum(c * w for c, w in zip(cur, weights)))
-                if val == 1:
-                    break
-                powers.append(val)
-            if len(powers) == Q - 1:
-                gen = g
-                exp = powers
+            exp = [1]
+            while (x := int(mul[exp[-1], g])) != 1:
+                exp.append(x)
+            if len(exp) == Q - 1:
                 break
-        assert gen is not None, "no generator found"
-        self.generator = gen
+        assert len(exp) == Q - 1, "no generator found"
+        self.generator = g
         exp = np.array(exp, dtype=np.int64)
         log = np.zeros(Q, dtype=np.int64)
         log[exp] = np.arange(Q - 1)
         self._exp, self._log = exp, log
-
-        mul = np.zeros((Q, Q), dtype=np.uint8)
         nz = np.arange(1, Q)
-        mul[1:, 1:] = exp[(log[nz][:, None] + log[nz][None, :]) % (Q - 1)].astype(
-            np.uint8
-        )
-        self.mul_table = mul
 
         inv = np.zeros(Q, dtype=np.uint8)
         inv[nz] = exp[(-log[nz]) % (Q - 1)].astype(np.uint8)

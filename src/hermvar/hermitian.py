@@ -80,6 +80,8 @@ class TangencyReport:
 
 def standard_form(n, ctx):
     """The non-degenerate canonical form: H = identity."""
+    if n < 0:
+        raise OutOfRange(f"n={n} must be >= 0")
     H = tuple(
         tuple(1 if i == j else 0 for j in range(n + 1)) for i in range(n + 1)
     )
@@ -230,20 +232,9 @@ def eval_form_at(f, pts):
                 t = ctx.vscale(d, t)
             acc = t if acc is None else ctx.vadd(acc, t)
         return acc
-    frob_cols = [ctx.vfrob(pts[:, j]) for j in range(n1)]
-    acc = np.zeros(len(pts), dtype=np.uint8)
-    for i in range(n1):
-        s = None
-        for j in range(n1):
-            hij = H[i][j]
-            if hij == 0:
-                continue
-            t = ctx.vscale(hij, frob_cols[j])
-            s = t if s is None else ctx.vadd(s, t)
-        if s is None:
-            continue
-        acc = ctx.vadd(acc, ctx.vmul(pts[:, i], s))
-    return acc
+    # p . (H p^(q)), with H p^(q) the product _polar_covectors makes
+    polar = combine_rows(ctx.vfrob(pts), list(zip(*H)), ctx)
+    return functools.reduce(ctx.vadd, ctx.vmul(pts, polar).T)
 
 
 def form_scan(f, budget=DEFAULT_POINT_BUDGET):

@@ -44,7 +44,7 @@ from .cubics import (
     monomial_exponents,
     random_hypersurface,
 )
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, OutOfRange
 from .field import make_field
 from .hermitian import (
     DEFAULT_POINT_BUDGET,
@@ -286,7 +286,7 @@ class SearchReport:
     samples_verified: int
     method_mix: dict
     wall_time_s: float
-    stages: dict  # build_geometry's stage times and work counts, not serialized
+    stages: dict  # stage times and work counts, not serialized
 
     def to_json_dict(self):
         return _json_fields(self, "triple_search")
@@ -300,7 +300,10 @@ def exhaustive_triples(
     verify_samples=1000,
 ):
     """Exact maximum of |union of three hyperplanes meet variety| over all
-    unordered triples, with full histogram and re-verified argmax list."""
+    unordered triples, with full histogram and re-verified argmax list.
+    The report's `stages` holds build_geometry's stages and the wall time
+    of the count products, the pencil loop, the argmax labels and the
+    sampled checks, with the number of samples."""
     t0 = time.time()
     mf = max_cubic_intersection(n, q)  # refuses n < 4 before any work
     ctx = make_field(q)
@@ -317,6 +320,7 @@ def exhaustive_triples(
     # from the unpacked variety columns: every pair's section count, and the
     # triple term, the points of each pencil's axis on hyperplane k, for
     # every (pencil, k)
+    t1 = time.time()
     Zu = np.unpackbits(geo.Z, axis=1, count=int(geo.tangent.sum())).astype(np.int64)
     S, P = geo.S, _count_product(Zu, Zu.T)
     assert np.array_equal(np.diagonal(P), S), "pair counts disagree with S"
@@ -332,6 +336,7 @@ def exhaustive_triples(
 
     # one pass per pencil, over its pairs i < j against every k > j: the
     # histogram, and every (pencil, i, j, k) at the running maximum
+    t2 = time.time()
     hist = np.zeros(int(3 * S.max()) + 2, dtype=np.int64)
     gmax, argmax = -1, []
     ks = np.arange(N)
@@ -354,6 +359,7 @@ def exhaustive_triples(
     enum = on_variety(*argmax[:, 1:].T)
     assert (enum == gmax).all(), "argmax re-verification by enumeration failed"
 
+    t3 = time.time()
     f = standard_form(n, ctx)
     pts = point_array(n, ctx)
 
@@ -378,6 +384,7 @@ def exhaustive_triples(
 
     # sampled three-way verification: internal assembly, classification
     # formulas, and bit-packed popcount enumeration
+    t4 = time.time()
     rng = np.random.default_rng(seed)
     verified = 0
     for _ in range(verify_samples):
@@ -409,7 +416,14 @@ def exhaustive_triples(
             "enumeration_verified": len(argmax) + verified,
         },
         wall_time_s=time.time() - t0,
-        stages=geo.stages,
+        stages=dict(
+            geo.stages,
+            products_s=t2 - t1,
+            loop_s=t3 - t2,
+            labels_s=t4 - t3,
+            samples_s=time.time() - t4,
+            samples=verified,
+        ),
     )
 
 
@@ -744,6 +758,8 @@ def random_cubic_sample(
     wall time of the linear-factor screen, the prefix walk and the rest of
     the evaluation, and the counts of prefixes walked, points evaluated,
     trials batched and prefix chunks."""
+    if trials < 0:
+        raise OutOfRange(f"trials={trials} must be >= 0")
     t0 = time.time()
     ctx = make_field(q)
     N = num_points(n, q)

@@ -117,6 +117,39 @@ def test_verify_incidence(capsys):
     assert byname["tangent_count_value"]["detail"]["got"] == 13
 
 
+def test_verify_incidence_emits_stages(capsys):
+    code, out = run_cli(capsys, "verify", "--suite", "incidence", "--q", "2", "--n", "4")
+    assert code == 0
+    stages = json.loads(out)["timestamp"]["stages"]  # volatile, as in search
+    assert stages["hyperplanes"] == 341 and stages["points"] == 165
+    assert {"mask_s", "incidence_s", "tangency_s", "count_s"} <= set(stages)
+
+
+def test_verify_without_stages_emits_none(capsys):
+    code, out = run_cli(capsys, "verify", "--suite", "sequences", "--q", "2", "--n", "6")
+    assert code == 0
+    assert "stages" not in json.loads(out)["timestamp"]
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (("verify", "--suite", "sections", "--n", "0"), "OutOfRange"),
+        (("verify", "--suite", "sections", "--n", "-1"), "OutOfRange"),
+        (("verify", "--suite", "extremal", "--n", "-2"), "OutOfRange"),
+        (("verify", "--suite", "affine", "--n", "0"), "PreconditionViolated"),
+        (("search", "--mode", "random", "--trials", "-1", "--n", "4"), "OutOfRange"),
+    ],
+)
+def test_usage_errors_exit_2_with_error_json(capsys, argv, error):
+    # each used to escape as a traceback (exit 1, empty stdout), or, for
+    # the negative trial count, to pass with "trials": -1
+    code, out = run_cli(capsys, *argv, "--q", "2")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"] == error and doc["command"] == argv[0]
+
+
 def test_verify_incidence_refuses_small_n(capsys):
     code, out = run_cli(capsys, "verify", "--suite", "incidence", "--q", "2", "--n", "1")
     assert code == 2

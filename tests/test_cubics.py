@@ -57,6 +57,7 @@ from hermvar.projgeom import (
     point_array,
     rref,
 )
+from oracles import congruent_form
 
 
 def random_triple(n, ctx, rng):
@@ -416,11 +417,27 @@ def test_build_extremal_takes_first_members_of_its_pencil(n, q):
 
 def test_build_extremal_impossible_at_q2_even():
     # every pencil over a non-degenerate codim-2 section at q=2 has exactly
-    # q^2-q = 2 non-tangent members, so no even-case extremal triple exists
+    # q^2-q = 2 non-tangent members, so no even-case extremal triple exists;
+    # the refusal names the count of the pencil the builder took
     ctx = make_field(2)
-    f = standard_form(4, ctx)
-    with pytest.raises(InsufficientPencilMembers):
-        build_extremal(f)
+    for n in (4, 6):
+        with pytest.raises(InsufficientPencilMembers) as exc:
+            build_extremal(standard_form(n, ctx))
+        assert "qualifying members seen: [2]" in str(exc.value)
+
+
+@pytest.mark.parametrize("n,q", [(4, 3), (5, 2), (4, 4)])
+def test_build_extremal_on_a_congruent_form(n, q):
+    # a form with off-diagonal entries: the first pencil's members still
+    # give the maximum, by the section formulas and by enumeration
+    ctx = make_field(q)
+    f = congruent_form(n, ctx, seed=7 * n + q)
+    arr = build_extremal(f)
+    want = max_cubic_intersection_alias(n, q)
+    assert arr.pi_section.v == -1
+    assert set(arr.tangency) == {"tangent" if n % 2 else "non_tangent"}
+    assert intersect_count_arrangement(arr, f).count == want
+    assert intersect_count_enum(expand_product(arr.hyperplanes, ctx), f) == want
 
 
 def test_arrangement_json():

@@ -33,6 +33,61 @@ def poly_mul_oracle(ctx, a, b):
     return sum(c * p**i for i, c in enumerate(prod[:m]))
 
 
+def poly_rem(num, den, p):
+    """Remainder of num by the monic den over F_p (coefficients low first)."""
+    num = list(num)
+    d = len(den) - 1
+    for k in range(len(num) - 1, d - 1, -1):
+        c = num[k]
+        for j in range(d + 1):
+            num[k - d + j] = (num[k - d + j] - c * den[j]) % p
+    return num[:d]
+
+
+def is_irreducible(coeffs, p):
+    """Trial division of a monic polynomial by every monic polynomial of
+    degree 1 .. m/2."""
+    m = len(coeffs) - 1
+    for d in range(1, m // 2 + 1):
+        for t in range(p**d):
+            den = [t // p**i % p for i in range(d)] + [1]
+            if not any(poly_rem(coeffs, den, p)):
+                return False
+    return True
+
+
+ALL_FIELDS = [(q, 13) for q in PRIME_POWERS] + [(16, 16)]
+
+
+@pytest.mark.parametrize("q,cap", ALL_FIELDS)
+def test_modulus_is_the_first_irreducible_candidate(q, cap):
+    # candidates x^m + low in the base-p order of their low part: the
+    # modulus is irreducible and every candidate before it is reducible
+    ctx = make_field(q, cap=cap)
+    p, m = ctx.p, 2 * ctx.e
+
+    def low(t):
+        return [t // p**i % p for i in range(m)]
+
+    first = next(t for t in range(p**m) if is_irreducible(low(t) + [1], p))
+    assert ctx.modulus == tuple(low(first))
+
+
+@pytest.mark.parametrize("q,cap", ALL_FIELDS)
+def test_generator_is_the_smallest_element_of_full_order(q, cap):
+    ctx = make_field(q, cap=cap)
+
+    def order(g):  # by the polynomial oracle, not the tables
+        x, k = g, 1
+        while x != 1:
+            x, k = poly_mul_oracle(ctx, x, g), k + 1
+        return k
+
+    orders = [order(g) for g in range(1, ctx.generator + 1)]
+    assert orders[-1] == ctx.order - 1
+    assert max(orders[:-1]) < ctx.order - 1
+
+
 def test_is_prime_power():
     assert is_prime_power(2) == (2, 1)
     assert is_prime_power(4) == (2, 2)
@@ -69,9 +124,14 @@ def test_f4_structure():
 
 @pytest.mark.parametrize("q", PRIME_POWERS)
 def test_mul_table_matches_polynomial_arithmetic(q):
+    # every pair for q <= 5, 200 random pairs above
     ctx = make_field(q)
-    rng = np.random.default_rng(q)
-    pairs = rng.integers(0, ctx.order, size=(200, 2))
+    Q = ctx.order
+    if q <= 5:
+        pairs = [(a, b) for a in range(Q) for b in range(Q)]
+    else:
+        pairs = np.random.default_rng(q).integers(0, Q, size=(200, 2))
+    assert ctx.mul_table.dtype == np.uint8
     for a, b in pairs:
         assert ctx.mul(int(a), int(b)) == poly_mul_oracle(ctx, int(a), int(b))
 

@@ -33,7 +33,6 @@ from hermvar.projgeom import (
     enumerate_hyperplanes,
     enumerate_points,
     intersect_hyperplanes,
-    matrix_rank,
     normalize,
     num_points,
     point_array,
@@ -42,6 +41,7 @@ from hermvar.projgeom import (
     subspace_from_rows,
     subspace_points,
 )
+from oracles import congruent_form
 
 
 def enum_count_bruteforce(f):
@@ -286,6 +286,14 @@ def test_tangent_hyperplane_example():
         tangent_hyperplane(f, ProjPoint((1, 0, 0)))
 
 
+def test_standard_forms_refuse_negative_n():
+    ctx = make_field(2)
+    with pytest.raises(OutOfRange):
+        standard_form(-1, ctx)
+    with pytest.raises(OutOfRange):
+        padded_standard_form(1, -1, ctx)
+
+
 def test_classify_hyperplane_basics():
     ctx = make_field(2)
     f = standard_form(4, ctx)
@@ -308,19 +316,6 @@ def test_classify_all_hyperplanes_n4_q2():
     kinds = [classify_hyperplane(f, h).kind for h in enumerate_hyperplanes(4, ctx)]
     assert kinds.count("tangent") == 165
     assert kinds.count("non_tangent") == 176
-
-
-def congruent_form(n, ctx, seed):
-    """A A^(q)T for a seeded random invertible A: a non-degenerate form
-    congruent to the standard one, with nonzero off-diagonal entries."""
-    rng = np.random.default_rng(seed)
-    f = standard_form(n, ctx)
-    while True:
-        A = [tuple(int(x) for x in r) for r in rng.integers(0, ctx.order, (n + 1, n + 1))]
-        if matrix_rank(A, ctx) == n + 1:
-            H = tuple(tuple(gram(f, a, b) for b in A) for a in A)
-            if any(H[i][j] for i in range(n + 1) for j in range(n + 1) if i != j):
-                return HermitianForm(H, n, ctx)
 
 
 @pytest.mark.parametrize("n,q", [(3, 2), (4, 2), (3, 3)])

@@ -192,7 +192,11 @@ def test_exhaustive_triples_n4_q2(triples_4_2):
     assert len(rep.argmax_arrangements) <= 1000
     first = rep.argmax_arrangements[0]
     assert first["count"] == 111 and len(first["covectors"]) == 3
-    assert rep.stages["pencils"] == 5797  # build_geometry's, not serialized
+    # build_geometry's stages and the search's own pass, not serialized
+    stages = rep.stages
+    assert stages["pencils"] == 5797 and stages["samples"] == 300
+    for key in ("catalog_s", "products_s", "loop_s", "labels_s", "samples_s"):
+        assert stages[key] >= 0
     assert "stages" not in rep.to_json_dict()
 
 
