@@ -9,10 +9,11 @@ incidence matrix Z of every hyperplane with the points of the variety only
 (about 1/q of P^n), bit-packed along the points, so a section count is a
 popcount of a row, or of the AND / OR of a few rows.  The standard form is
 self-dual, so one variety mask gives both those points and the tangent
-hyperplanes.  Z is built grouped by prefix: the hyperplanes come in runs of
-q^2 that share all coordinates but the last, so one kernel pass over the
-prefixes gives every run's dot values, and each member of a run is one
-table compare against them.
+hyperplanes.  Z is built grouped by prefix on both sides: the hyperplanes
+come in runs of q^2 that share all coordinates but the last, and the
+variety's points share theirs in runs of a norm fibre, so one kernel pass
+per distinct point prefix against the hyperplane prefixes gives every dot
+value, and each member of a hyperplane run is one table compare against it.
 
 Codimension-2 subspaces are enumerated directly as reduced-row-echelon dual
 lines (two-row RREF matrices of covectors), which visits every pencil
@@ -94,17 +95,29 @@ def incidence_zero_matrix(n, ctx, upts):
     In canonical order every hyperplane but the last, e_n, is one of a run
     of Q that share their first n coordinates, a point of P^{n-1}, and take
     every last coordinate a_n in index order.  So the kernel computes the
-    dot values V of these prefixes with the points' first n coordinates
-    once, and a run's Q rows are a_n x_n == -V, one table compare each."""
+    dot values V of these prefixes with the points' first n coordinates,
+    once per distinct point prefix (one per run of rows that share it, see
+    _prefix_starts), spreads them to the points, and a run's Q rows are
+    -a_n x_n == V, one table compare each."""
     Q = ctx.order
     Z = np.empty((num_points(n, ctx.q), (len(upts) + 7) // 8), dtype=np.uint8)
-    last = ctx.mul_table[:, upts[:, n]]  # a_n x_n for every a_n
-    for a, b, V in incidence_blocks(point_array(n - 1, ctx), upts[:, :n], ctx):
-        neg = ctx.neg_table[V]
+    new = _prefix_starts(upts, n)
+    inv = np.cumsum(new) - 1  # each point's distinct prefix
+    last = ctx.mul_table[ctx.neg_table][:, upts[:, n]]  # -a_n x_n for every a_n
+    for a, b, V in incidence_blocks(point_array(n - 1, ctx), upts[new, :n], ctx):
+        V = V.take(inv, axis=1)
         for c in range(Q):
-            Z[a * Q + c : b * Q : Q] = np.packbits(last[c] == neg, axis=1)
+            Z[a * Q + c : b * Q : Q] = np.packbits(last[c] == V, axis=1)
     Z[-1] = np.packbits(upts[:, n] == 0)
     return Z
+
+
+def _prefix_starts(pts, n):
+    """Mask of the rows of pts whose first n coordinates differ from the
+    previous row's; the first row always starts a prefix."""
+    new = np.ones(len(pts), dtype=bool)
+    new[1:] = (pts[1:, :n] != pts[:-1, :n]).any(axis=1)
+    return new
 
 
 def _dual_line_digits(n, Q):
@@ -214,9 +227,10 @@ class _Geometry:
 def _variety_incidence(n, q, budget):
     """The geometry of U_n that needs no pencils: U_n's points upts, the
     incidence Z, every hyperplane's tangency and section count S, and the
-    stage times.  By self-duality one mask gives both U_n's points and its
-    tangent hyperplanes.  S comes from the tangency and is asserted equal to
-    the popcounts of Z's rows."""
+    stage times and the number of dot values Z's kernel computed.  By
+    self-duality one mask gives both U_n's points and its tangent
+    hyperplanes.  S comes from the tangency and is asserted equal to the
+    popcounts of Z's rows."""
     ctx = make_field(q)
     N = num_points(n, q)
     if N * N > budget:
@@ -233,6 +247,8 @@ def _variety_incidence(n, q, budget):
     assert np.array_equal(S, enum_S), "hyperplane section counts disagree"
     t3 = time.time()
     stages = {"mask_s": t1 - t0, "incidence_s": t2 - t1, "tangency_s": t3 - t2}
+    # dot values the incidence kernel computed: hyperplane x point prefixes
+    stages["prefix_dots"] = num_points(n - 1, q) * int(_prefix_starts(upts, n).sum())
     return upts, Z, tangent, S, stages
 
 
@@ -583,16 +599,21 @@ def incidence_double_count(n, q, budget=DEFAULT_POINT_BUDGET):
     assert np.array_equal(np.sort(cov_ranks), np.flatnonzero(kinds)), (
         "the tangent map must be a bijection onto the tangent hyperplanes"
     )
+    # column sums of unpacked rows of Z, exact in int32 below 2^31 rows
+    assert len(Z) < 2**31, "int32 column sums could overflow"
+
+    def through(rows):
+        bits = np.unpackbits(rows, axis=1, count=nU)
+        return bits.sum(axis=0, dtype=np.int32).astype(np.int64)
+
     # tangency incidence among variety points: point b lies on the tangent
     # hyperplane at point a iff bit b of Z's row at that covector is set
-    tangent_through = np.unpackbits(Z[cov_ranks], axis=1, count=nU).sum(
-        axis=0, dtype=np.int64
-    )
+    tangent_through = through(Z[cov_ranks])
     uniform = bool((tangent_through == tangent_through[0]).all())
     t_count = int(tangent_through[0])
     # hyperplane side
     n_tangent = int(kinds.sum())
-    hyps_through = np.unpackbits(Z, axis=1, count=nU).sum(axis=0, dtype=np.int64)
+    hyps_through = through(Z)
     assert (hyps_through == hyps_through[0]).all()
     left = int(((hyps_through - tangent_through)).sum())
     right = int(np.bitwise_count(Z[~kinds]).sum(dtype=np.int64))

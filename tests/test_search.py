@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermvar.bounds import cone_counts
 from hermvar.cubics import arrangement, max_cubic_intersection
@@ -110,6 +112,76 @@ def test_incidence_zero_matrix_matches_scalar_dot(n, q):
     assert not bits[:, n_u:].any()  # padding bits
 
 
+@functools.lru_cache(maxsize=None)
+def scalar_column(n, q, row):
+    """[hyperplane] -> ctx.dot(cov, pt) == 0 for row `row` of point_array(n),
+    by scalar loops over the canonical order."""
+    ctx = make_field(q)
+    p = tuple(int(x) for x in point_array(n, ctx)[row])
+    return tuple(ctx.dot(H.coords, p) == 0 for H in enumerate_points(n, ctx))
+
+
+def point_row_lists(n, q):
+    """Lists of row indices of point_array(n, q): shuffled subsets, rows
+    drawn with repeats, whole runs of Q rows that share their first n
+    coordinates, and one row from each of distinct runs, so that the prefix
+    changes at every row.  Row N - 1 is e_n, the one row of its prefix."""
+    N, Q = num_points(n, q), q * q
+    runs = (N - 1) // Q  # rows r Q .. r Q + Q - 1 share their prefix
+    return st.one_of(
+        st.permutations(range(N)).flatmap(
+            lambda p: st.integers(1, 40).map(lambda k: p[:k])
+        ),
+        st.lists(st.integers(0, N - 1), min_size=1, max_size=40),
+        st.lists(st.integers(0, runs - 1), min_size=1, max_size=4).map(
+            lambda rs: [r * Q + c for r in rs for c in range(Q)]
+        ),
+        st.lists(
+            st.tuples(st.integers(0, runs - 1), st.integers(0, Q - 1)),
+            min_size=1,
+            max_size=40,
+            unique_by=lambda t: t[0],
+        ).map(lambda rc: [r * Q + c for r, c in rc]),
+    )
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (2, 3), (3, 3)])
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_incidence_zero_matrix_on_any_rows_in_any_order(n, q, data):
+    # the kernel runs once per run of equal prefixes, so any row order, with
+    # repeated, shuffled or never-repeating prefixes, must give the scalar dot
+    ctx = make_field(q)
+    N = num_points(n, q)
+    rows = data.draw(point_row_lists(n, q), label="rows")
+    if data.draw(st.booleans(), label="with e_n"):
+        rows.insert(data.draw(st.integers(0, len(rows)), label="e_n at"), N - 1)
+    Z = incidence_zero_matrix(n, ctx, point_array(n, ctx)[rows])
+    assert Z.dtype == np.uint8 and Z.shape == (N, (len(rows) + 7) // 8)
+    bits = np.unpackbits(Z, axis=1).astype(bool)
+    want = np.array([scalar_column(n, q, r) for r in rows]).T
+    assert np.array_equal(bits[:, : len(rows)], want)
+    assert not bits[:, len(rows) :].any()  # padding bits
+
+
+# SHA-256 of Z over U_n's points, recorded before the kernel ran once per
+# distinct point prefix
+ZERO_MATRIX_DIGESTS = {
+    (4, 2): "920b589be3f5a342609c3a7eb26c7ed9739a85d3b8288ef63fadc4a437e1a235",
+    (5, 2): "36dae2c4185b87da491fd5ae0e52d607b664e095b2bd1070a3ebff1fcde94a65",
+    (4, 3): "baf45670fd327b68bc07f130b7cc1deb90e59724f457733833e141ccb4c1b7e8",
+    (3, 4): "8e495337a4b12998b505255197ed648e6ff1de8c6daef3105f7b9745ebe5cd20",
+}
+
+
+@pytest.mark.parametrize("n,q", sorted(ZERO_MATRIX_DIGESTS))
+def test_incidence_zero_matrix_digests(n, q):
+    ctx = make_field(q)
+    upts = point_array(n, ctx)[variety_mask(standard_form(n, ctx))]
+    Z = incidence_zero_matrix(n, ctx, upts)
+    assert hashlib.sha256(Z.tobytes()).hexdigest() == ZERO_MATRIX_DIGESTS[n, q]
+
+
 @pytest.mark.parametrize("n,q", GRIDS)
 def test_hyperplane_tangency_matches_section_counts(n, q):
     # tangent iff the section has 1 + q^2 |U_{n-2}| points, else |U_{n-1}|
@@ -152,7 +224,12 @@ def test_build_geometry_totals():
     assert stages["pencils"] == 5797
     # 165 points take 21 bytes per row of Z
     assert geo.Z.shape == (341, 21)
-    assert set(stages) == {"mask_s", "incidence_s", "tangency_s", "catalog_s", "pencils"}
+    assert set(stages) == {
+        "mask_s", "incidence_s", "tangency_s", "prefix_dots", "catalog_s", "pencils"
+    }
+    # the kernel ran once per distinct prefix of U_4: 85 hyperplane prefixes
+    # (P^3) times 85 point prefixes, where one per point made 85 x 165
+    assert stages["prefix_dots"] == 85 * 85
     for key in ("mask_s", "incidence_s", "tangency_s", "catalog_s"):
         assert stages[key] >= 0
 
@@ -514,12 +591,37 @@ def test_incidence_double_count_values():
         incidence_double_count(4, 7)
 
 
+# SHA-256 of the report JSON, recorded before the incidence kernel ran once
+# per distinct point prefix and the column sums were taken in int32
+INCIDENCE_DIGESTS = {
+    (2, 3): "325c9b080df0bc226370c6df8e958681fbb6a10afe2398f251cd67367ab0e71b",
+    (3, 2): "afde887d66fba0551ba353aef6f8b1ff989592bea7916048b3837bdebb44fee0",
+    (4, 2): "16a302377d3345ee8a47a97eb236194675d47a028c6ae2e0e5c2ffb73ddd7cef",
+    (5, 2): "8fb58f2bca74bb7e5b766f1a74c85d8cbdc7a3611785f286a3dedcaf5492793a",
+    (3, 3): "486663fef39925044584586bdb33290ca19d345f13a6978a3238c1aa83b0dd26",
+    (4, 3): "1ede54e77d679f28483763449aa80bd082d20f28e701cbefec5f50f1fefc9b3d",
+}
+
+
+@pytest.mark.parametrize("n,q", sorted(INCIDENCE_DIGESTS))
+def test_incidence_double_count_digests(n, q):
+    text = report_json(incidence_double_count(n, q))
+    assert hashlib.sha256(text.encode()).hexdigest() == INCIDENCE_DIGESTS[n, q]
+
+
 def test_incidence_double_count_stages_are_not_serialized():
     rep = incidence_double_count(4, 2)
     stages = rep.stages
     assert set(stages) == {
-        "mask_s", "incidence_s", "tangency_s", "count_s", "hyperplanes", "points"
+        "mask_s",
+        "incidence_s",
+        "tangency_s",
+        "prefix_dots",
+        "count_s",
+        "hyperplanes",
+        "points",
     }
+    assert stages["prefix_dots"] == 85 * 85
     assert stages["hyperplanes"] == rep.hyperplanes_total == 341
     assert stages["points"] == rep.variety_points == 165
     for key in ("mask_s", "incidence_s", "tangency_s", "count_s"):
