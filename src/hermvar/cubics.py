@@ -192,8 +192,9 @@ def eval_poly_at(C, pts, ctx):
     """Vectorized values of the form at each row of a point-index array,
     evaluated by shared prefixes (a dense quinary cubic costs 20 vmul,
     35 vscale and 34 vadd): the per-point oracle, which the enumerations of
-    lines, planes and hyperplanes call; intersect_count_enum evaluates by
-    last-coordinate parts instead."""
+    lines, planes and hyperplanes call.  intersect_count_enum does not call
+    it: it evaluates C's parts C_k at the prefixes and tests a form key's
+    zeros together with one gather of a lam table (see _top_table)."""
     cols = [np.ascontiguousarray(pts[:, i]) for i in range(C.n + 1)]
     return _horner(C.monomials, cols, ctx)
 
@@ -236,31 +237,65 @@ def restrict_poly(C, basis, ctx):
 # -- enumeration ------------------------------------------------------------
 
 
-def intersect_count_enum(C, f, budget=DEFAULT_POINT_BUDGET):
-    """|V(C) meet V(f)| by evaluating the form at every point of P^n
-    (form_scan, which checks the budget) and C at each of its zeros, in one
-    process and without a point array.
+def _top_table(top, d, ctx):
+    """TT[lam, u * Q + v] = top lam^d + u lam^(d-1) + v lam^(d-2), the part
+    of C in lam from its top coefficient and its parts u = C_{d-1}(p),
+    v = C_{d-2}(p) (v = 0 and no v term at d = 1), as a (Q, Q^2) table."""
+    Q = ctx.order
+    mul, add = ctx.mul_table, ctx.add_table
+    lam = np.arange(Q, dtype=np.uint8)
+    pw = [np.ones(Q, dtype=np.uint8)]  # lam^0 = 1, also at lam = 0
+    for _ in range(d):
+        pw.append(mul[pw[-1], lam])
+    hi = add[mul[top, pw[d]][:, None], mul[pw[d - 1][:, None], lam]]
+    lo = mul[pw[d - 2][:, None], lam] if d >= 2 else np.zeros((Q, Q), np.uint8)
+    return add[hi[:, :, None], lo[:, None, :]].reshape(Q, Q * Q)
 
-    C = sum_k x_n^k C_k(x_0 .. x_{n-1}): each C_k is evaluated by shared
-    prefixes once per prefix of a chunk, and C at a zero (p, lam) by Horner
-    in lam over C_d(p) .. C_0(p).  e_n is a zero iff H[n][n] = 0, and lies
-    on C iff C has no x_n^d term."""
+
+def intersect_count_enum(C, f, budget=DEFAULT_POINT_BUDGET):
+    """|V(C) meet V(f)| by reading the form's value at every point of P^n
+    from form_scan's table (which checks the budget) and evaluating C at
+    each of its zeros, in one process and without a point array.
+
+    C = sum_k x_n^k C_k(x_0 .. x_{n-1}), each C_k evaluated by shared
+    prefixes once per prefix of a chunk.  A chunk's prefixes are sorted by
+    form key, and all prefixes of one key share its zeros lam, a row of
+    form_scan's table.  C at (p, lam) is TT[lam, w(p)] + R(p, lam), with TT
+    from _top_table, w = C_{d-1} * Q + C_{d-2} and R = sum_{k<d-2} lam^k
+    C_k(p) (C_0 at d = 3, 0 below), so a key's group of prefixes is tested
+    at its zeros with one (zeros x prefixes) gather of TT.  e_n is a zero
+    iff H[n][n] = 0, and lies on C iff C has no x_n^d term."""
     ctx, n, d = f.ctx, f.n, C.degree
+    Q = ctx.order
     top = dict(C.monomials).get((0,) * n + (d,), 0)  # C_d, the value at e_n
     parts = {}
     for exp, c in C.monomials:
         parts.setdefault(exp[n], []).append((exp[:n], c))
+    T, chunks = form_scan(f, budget)
+    TT = _top_table(top, d, ctx)
+    zl, lams = np.nonzero(T == 0)  # each key's zeros, keys ascending
+    bounds = np.searchsorted(zl, np.arange(Q * Q + 1))
     count = int(f.matrix[n][n] == 0 and top == 0)
-    for pre, vals in form_scan(f, budget):
-        i, lam = np.divmod(np.flatnonzero(vals == 0), ctx.order)
-        lam = lam.astype(np.uint8)
-        cols = [np.ascontiguousarray(pre[:, j]) for j in range(n)]
-        acc = np.full(len(i), top, dtype=np.uint8)
-        for k in range(d - 1, -1, -1):
-            acc = ctx.vmul(acc, lam)
-            if k in parts:
-                acc = ctx.vadd(acc, _horner(parts[k], cols, ctx)[i])
-        count += int(np.count_nonzero(acc == 0))
+    for pre, key in chunks:
+        order = np.argsort(key, kind="stable")
+        cols = [np.ascontiguousarray(pre[order, j]) for j in range(n)]
+        zero = np.zeros(len(pre), dtype=np.uint8)
+        Ck = [_horner(parts[k], cols, ctx) if k in parts else zero for k in range(d)]
+        w = Ck[d - 1].astype(np.intp) * Q
+        if d >= 2:
+            w += Ck[d - 2]
+        key = key[order]
+        cuts = np.flatnonzero(key[1:] != key[:-1]) + 1
+        for s, e in zip(np.r_[0, cuts], np.r_[cuts, len(key)]):
+            k = int(key[s])
+            z = lams[bounds[k] : bounds[k + 1]]
+            if not len(z):
+                continue
+            zc = z[:, None]
+            R = Ck[d - 3][s:e] if d >= 3 else zero[s:e]
+            for j in range(d - 4, -1, -1):
+                R = ctx.add_table[ctx.mul_table[zc, R], Ck[j][s:e]]
+            count += int(np.count_nonzero(TT[zc, w[s:e]] == ctx.neg_table[R]))
     return count
 
 

@@ -238,17 +238,18 @@ def eval_form_at(f, pts):
 
 
 def form_scan(f, budget=DEFAULT_POINT_BUDGET):
-    """The form's value at every point of P^n but e_n, without a point
-    array; the budget on N is checked first.
+    """The form at every point of P^n but e_n, without a point array, as
+    (T, chunks); the budget on N is checked first, at the call.
 
     Every point but e_n is a prefix p, a row of point_array(n - 1), followed
     by a last coordinate lam, and its rank is rank(p) * Q + lam.  There the
     form is A(p) + Tr(lam b(p)) + h N(lam), with A(p) its value at (p, 0),
-    b(p) = sum_{j<n} H[n][j] p_j^q and h = H[n][n], so one (Q^2, Q) table
-    row, T[A * Q + b], holds the values at all Q points of a prefix.
-    Yields (pre, vals), ceil(_CHUNK / Q) prefixes at a time: vals[i, lam]
-    is the value at (pre[i], lam), and the raveled vals follow the
-    canonical point order.  The value at e_n is h."""
+    b(p) = sum_{j<n} H[n][j] p_j^q and h = H[n][n], so it depends on p only
+    through the key A(p) * Q + b(p): T is the (Q^2, Q) table with
+    T[key, lam] the value at (p, lam) for every prefix p of that key.
+    chunks yields (pre, key), ceil(_CHUNK / Q) prefixes at a time, key the
+    uint16 key of each row of pre; T[key].ravel() follows the canonical
+    point order.  The value at e_n is h."""
     ctx, n = f.ctx, f.n
     Q = ctx.order
     N = num_points(n, ctx.q)
@@ -258,20 +259,28 @@ def form_scan(f, budget=DEFAULT_POINT_BUDGET):
     rest = ctx.add_table[
         ctx.trace_table[ctx.mul_table], ctx.mul_table[H[n][n], ctx.norm_table]
     ]
-    T = ctx.add_table[:, rest].reshape(Q * Q, Q)
+    return ctx.add_table[:, rest].reshape(Q * Q, Q), _form_keys(f)
+
+
+def _form_keys(f):
+    """form_scan's chunks: (pre, key) with key = A(pre) * Q + b(pre)."""
+    ctx, n = f.ctx, f.n
     M = num_points(n - 1, ctx.q)
-    chunk = -(-_CHUNK // Q)
+    chunk = -(-_CHUNK // ctx.order)
     for a in range(0, M, chunk):
         pre = point_rows(n - 1, ctx, a, min(a + chunk, M))
         A = eval_form_at(f, np.pad(pre, ((0, 0), (0, 1))))
-        b = combine_rows(ctx.vfrob(pre), [[c] for c in H[n][:n]], ctx)[:, 0]
-        yield pre, T[A.astype(np.intp) * Q + b]
+        b = combine_rows(ctx.vfrob(pre), [[c] for c in f.matrix[n][:n]], ctx)[:, 0]
+        yield pre, A.astype(np.uint16) * ctx.order + b
 
 
 def variety_mask(f, budget=DEFAULT_POINT_BUDGET):
     """Boolean mask over the canonical point order: True iff on the variety.
-    The form_scan's zeros, then e_n's bit (on the variety iff H[n][n] = 0)."""
-    masks = [vals.ravel() == 0 for _, vals in form_scan(f, budget)]
+    form_scan's zero mask at each prefix's key, then e_n's bit (on the
+    variety iff H[n][n] = 0)."""
+    T, chunks = form_scan(f, budget)
+    Tz = T == 0
+    masks = [Tz[key].ravel() for _, key in chunks]
     return np.concatenate(masks + [np.array([f.matrix[f.n][f.n] == 0])])
 
 
@@ -295,10 +304,13 @@ def variety_prefixes(n, ctx, chunk):
 
 
 def count_points_enum(f, budget=DEFAULT_POINT_BUDGET, workers=1):
-    """Exact |V(f)(F_{q^2})| by evaluating the form at every point of P^n
-    (form_scan, then e_n), in one process and without a mask of P^n;
-    `workers` is accepted and ignored."""
-    on = sum(int(np.count_nonzero(vals == 0)) for _, vals in form_scan(f, budget))
+    """Exact |V(f)(F_{q^2})| by reading the form's value at every point of
+    P^n from form_scan's table: each prefix adds its key's row count of
+    zeros, then e_n; one process, no mask of P^n, `workers` is accepted and
+    ignored."""
+    T, chunks = form_scan(f, budget)
+    zeros = np.count_nonzero(T == 0, axis=1)
+    on = sum(int(zeros[key].sum()) for _, key in chunks)
     return on + (f.matrix[f.n][f.n] == 0)
 
 

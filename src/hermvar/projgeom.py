@@ -172,7 +172,7 @@ def incidence_blocks(covs, pts, ctx):
     Q = ctx.order
     tabs = [ctx.mul_table[:, pts[:, j]] for j in range(pts.shape[1])]
     add = ctx.add_table.ravel()
-    blk = max(1, 500_000 // len(pts))
+    blk = max(1, 500_000 // max(1, len(pts)))
     for a in range(0, len(covs), blk):
         b = min(a + blk, len(covs))
         acc = tabs[0][covs[a:b, 0]]

@@ -1,7 +1,11 @@
+import functools
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermvar import cubics as cubics_mod
 from hermvar import hermitian, projgeom
@@ -53,6 +57,7 @@ from hermvar.projgeom import (
     hyperplanes_through,
     intersect_hyperplanes,
     nullspace,
+    num_points,
     pencil_through,
     point_array,
     rref,
@@ -180,7 +185,8 @@ def test_enum_scans_match_scalar_across_chunks(monkeypatch):
     monkeypatch.setattr("hermvar.hermitian._CHUNK", 100)
     ctx = make_field(3)
     f = standard_form(3, ctx)
-    assert [len(pre) for pre, _ in form_scan(f)] == [12] * 7 + [7]
+    _, chunks = form_scan(f)
+    assert [len(pre) for pre, _ in chunks] == [12] * 7 + [7]
     rng = np.random.default_rng(7)
     points = [P for P in enumerate_points(3, ctx) if evaluate(f, P) == 0]
     assert count_points_enum(f) == len(points) == nondegenerate_count(3, 3)
@@ -189,6 +195,68 @@ def test_enum_scans_match_scalar_across_chunks(monkeypatch):
     for C in cubics:
         want = sum(evaluate_poly(C, P.coords, ctx) == 0 for P in points)
         assert intersect_count_enum(C, f) == want, C.monomials
+
+
+@functools.lru_cache(maxsize=None)
+def scalar_points(n, q):
+    return tuple(enumerate_points(n, make_field(q)))
+
+
+@st.composite
+def keyed_oracle_cases(draw):
+    """(f, C, chunk) at n <= 4, q <= 3: the standard form, a rank-deficient
+    one or a general form with b != 0 and H[n][n] zero or not; C of degree
+    1-4, with or without its x_n^d term; and a _CHUNK that cuts the M
+    prefixes into 3 to 40 chunks (as M allows), so that one key's prefixes
+    span several chunks."""
+    n = draw(st.integers(1, 4), label="n")
+    ctx = make_field(draw(st.sampled_from([2, 3]), label="q"))
+    els = st.integers(0, ctx.order - 1)
+    kind = draw(st.sampled_from(["standard", "rank-deficient", "general"]), label="kind")
+    if kind == "standard":
+        f = standard_form(n, ctx)
+    elif kind == "rank-deficient":
+        f = padded_standard_form(draw(st.integers(1, n), label="rank"), n, ctx)
+    else:
+        M = draw(st.lists(els, min_size=(n + 1) ** 2, max_size=(n + 1) ** 2), label="M")
+        H = [
+            [ctx.add(M[i * (n + 1) + j], ctx.frobenius(M[j * (n + 1) + i])) for j in range(n + 1)]
+            for i in range(n + 1)
+        ]
+        H[n][n] = draw(st.sampled_from(ctx.subfield_elements()), label="h")
+        j, b = draw(st.integers(0, n - 1), label="j"), draw(st.integers(1, ctx.order - 1), label="b")
+        H[n][j], H[j][n] = b, ctx.frobenius(b)
+        f = HermitianForm(tuple(map(tuple, H)), n, ctx)
+    d = draw(st.integers(1, 4), label="d")
+    exps = monomial_exponents(n, d)
+    coeffs = draw(
+        st.lists(st.one_of(st.just(0), els), min_size=len(exps), max_size=len(exps)),
+        label="coefficients",
+    )
+    poly = dict(zip(exps, coeffs))
+    if not draw(st.booleans(), label="x_n^d term"):
+        poly[(0,) * n + (d,)] = 0  # then C vanishes at e_n
+    if not any(poly.values()):
+        poly[exps[0]] = 1
+    C = make_hypersurface(poly, n, d, ctx)
+    M, Q = num_points(n - 1, ctx.q), ctx.order
+    chunk = draw(st.integers(max(1, M // 40) * Q, max(1, M // 3) * Q), label="_CHUNK")
+    return f, C, chunk
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=keyed_oracle_cases())
+def test_keyed_oracles_match_scalar_loops(case):
+    # the oracles read the form from its key table and test C at a key's
+    # zeros together; scalar evaluate / evaluate_poly over every point must
+    # agree, whatever the chunk boundaries cut through a key's prefixes
+    f, C, chunk = case
+    ctx = f.ctx
+    on_f = [P for P in scalar_points(f.n, ctx.q) if evaluate(f, P) == 0]
+    want = sum(evaluate_poly(C, P.coords, ctx) == 0 for P in on_f)
+    with mock.patch.object(hermitian, "_CHUNK", chunk):
+        assert count_points_enum(f) == len(on_f)
+        assert intersect_count_enum(C, f) == want
 
 
 def test_enum_oracles_never_build_the_point_array(monkeypatch):

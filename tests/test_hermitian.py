@@ -14,6 +14,7 @@ from hermvar.hermitian import (
     count_points_formula,
     eval_form_at,
     evaluate,
+    form_scan,
     gram,
     nondegenerate_count,
     padded_standard_form,
@@ -248,6 +249,27 @@ def test_variety_mask():
             if N <= 100:
                 want = [contains(f, P) for P in enumerate_points(n, ctx)]
                 assert mask.tolist() == want, (n, q, f.matrix)
+
+
+@pytest.mark.parametrize("n,q", [(1, 2), (2, 2), (3, 2), (2, 3), (3, 3), (2, 4)])
+def test_form_scan_table_is_the_form(n, q):
+    # the keyed oracles rest on this decomposition: at every point (p, lam)
+    # of P^n but e_n the form's value is T[key(p), lam], for forms with
+    # b = 0 and b != 0 and H[n][n] zero or not
+    ctx = make_field(q)
+    Q = ctx.order
+    pts = point_array(n, ctx)
+    for f in mask_test_forms(n, ctx, np.random.default_rng(7 * n + q)):
+        T, chunks = form_scan(f)
+        assert T.shape == (Q * Q, Q)
+        pre, key = (np.concatenate(a) for a in zip(*chunks))
+        assert key.dtype == np.uint16
+        assert np.array_equal(pts[:-1, :n], np.repeat(pre, Q, axis=0))
+        lam = pts[:-1, n].reshape(-1, Q)
+        assert np.array_equal(lam, np.broadcast_to(np.arange(Q), lam.shape))
+        assert np.array_equal(T[key].ravel(), eval_form_at(f, pts[:-1])), f.matrix
+        want = [evaluate(f, P) for P in enumerate_points(n, ctx)][:-1]
+        assert T[key].ravel().tolist() == want, f.matrix
 
 
 @pytest.mark.parametrize(

@@ -164,6 +164,14 @@ def test_incidence_zero_matrix_on_any_rows_in_any_order(n, q, data):
     assert not bits[:, len(rows) :].any()  # padding bits
 
 
+@pytest.mark.parametrize("n,q", [(2, 2), (3, 3)])
+def test_incidence_zero_matrix_of_no_points(n, q):
+    # no points, no columns: an N x 0 matrix, not a division by zero
+    ctx = make_field(q)
+    Z = incidence_zero_matrix(n, ctx, point_array(n, ctx)[:0])
+    assert Z.dtype == np.uint8 and Z.shape == (num_points(n, q), 0)
+
+
 # SHA-256 of Z over U_n's points, recorded before the kernel ran once per
 # distinct point prefix
 ZERO_MATRIX_DIGESTS = {

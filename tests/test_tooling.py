@@ -56,6 +56,22 @@ def test_traced_run_names_resolve():
         assert callable(getattr(module, name, None)), f"hermvar.{mod}.{name}"
 
 
+def test_import_loads_no_third_party_package_but_numpy():
+    # the benchmark's setup_s times `import hermvar`; scipy, sympy and
+    # hypothesis are installed beside numpy, and none of them may load
+    probe = (
+        "import sys; before = set(sys.modules); import hermvar, hermvar.cli; "
+        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    loaded = set(proc.stdout.split()) - set(sys.stdlib_module_names)
+    assert loaded == {"hermvar", "numpy"}, sorted(loaded)
+
+
 def test_no_unused_imports():
     # every name a package module imports is used in that module, so a
     # helper that lost its last caller does not linger as an import
