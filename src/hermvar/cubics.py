@@ -237,19 +237,22 @@ def restrict_poly(C, basis, ctx):
 # -- enumeration ------------------------------------------------------------
 
 
-def _top_table(top, d, ctx):
-    """TT[lam, u * Q + v] = top lam^d + u lam^(d-1) + v lam^(d-2), the part
-    of C in lam from its top coefficient and its parts u = C_{d-1}(p),
-    v = C_{d-2}(p) (v = 0 and no v term at d = 1), as a (Q, Q^2) table."""
+def _top_table(top, d, ctx, lam=None):
+    """TT[i, u * Q + v] = top l^d + u l^(d-1) + v l^(d-2) at l = lam[i],
+    the part of C in l from its top coefficient and its parts
+    u = C_{d-1}(p), v = C_{d-2}(p) (v = 0 and no v term at d = 1), as a
+    (len(lam), Q^2) table; lam defaults to every field element."""
     Q = ctx.order
     mul, add = ctx.mul_table, ctx.add_table
-    lam = np.arange(Q, dtype=np.uint8)
-    pw = [np.ones(Q, dtype=np.uint8)]  # lam^0 = 1, also at lam = 0
+    x = np.arange(Q, dtype=np.uint8)
+    if lam is None:
+        lam = x
+    pw = [np.ones(len(lam), dtype=np.uint8)]  # l^0 = 1, also at l = 0
     for _ in range(d):
         pw.append(mul[pw[-1], lam])
-    hi = add[mul[top, pw[d]][:, None], mul[pw[d - 1][:, None], lam]]
-    lo = mul[pw[d - 2][:, None], lam] if d >= 2 else np.zeros((Q, Q), np.uint8)
-    return add[hi[:, :, None], lo[:, None, :]].reshape(Q, Q * Q)
+    hi = add[mul[top, pw[d]][:, None], mul[pw[d - 1][:, None], x]]
+    lo = mul[pw[d - 2][:, None], x] if d >= 2 else np.zeros((len(lam), Q), np.uint8)
+    return add[hi[:, :, None], lo[:, None, :]].reshape(len(lam), Q * Q)
 
 
 def intersect_count_enum(C, f, budget=DEFAULT_POINT_BUDGET):

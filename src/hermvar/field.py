@@ -231,16 +231,6 @@ class FieldCtx:
     def vnorm(self, a):
         return self.norm_table.take(a)
 
-    def digit_planes(self, a, dtype=np.float32):
-        """Base-p digits of the index array a, one plane per digit: an array
-        of shape (ndigits,) + a.shape with a = sum(out[j] * p^j)."""
-        a = np.asarray(a)
-        out = np.empty((self.ndigits,) + a.shape, dtype=dtype)
-        for j, plane in enumerate(self.digit_table.astype(dtype)):
-            # mode="clip" skips the bounds check; field indices are in range
-            plane.take(a, out=out[j], mode="clip")
-        return out
-
     def __repr__(self):
         return f"FieldCtx(q={self.q})"
 

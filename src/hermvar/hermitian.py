@@ -284,25 +284,6 @@ def variety_mask(f, budget=DEFAULT_POINT_BUDGET):
     return np.concatenate(masks + [np.array([f.matrix[f.n][f.n] == 0])])
 
 
-def variety_prefixes(n, ctx, chunk):
-    """The standard form's variety U_n as prefixes and norm fibres, without
-    a scan of P^n: yields, chunk prefixes at a time, (pre, r) with pre the
-    next rows of point_array(n - 1, ctx), the prefixes (x_0 .. x_{n-1}), and
-    r the norm each needs of x_n, r = -(x_0^(q+1) + ... + x_{n-1}^(q+1)).
-
-    Every point of U_n has pivot < n (e_n is not on U_n), so it is a
-    canonical prefix followed by one lam of ctx.norm_fibres[r].  The last
-    coordinate is the least significant, so expanding each prefix by its
-    fibre in index order lists U_n in canonical order, the rows of
-    point_array(n, ctx)[variety_mask(f)].  The walk is O(N / q^2) work; the
-    expansion, the caller's, is O(|U_n|)."""
-    M = num_points(n - 1, ctx.q)
-    g = standard_form(n - 1, ctx)
-    for a in range(0, M, chunk):
-        pre = point_rows(n - 1, ctx, a, min(a + chunk, M))
-        yield pre, ctx.neg_table[eval_form_at(g, pre)]
-
-
 def count_points_enum(f, budget=DEFAULT_POINT_BUDGET, workers=1):
     """Exact |V(f)(F_{q^2})| by reading the form's value at every point of
     P^n from form_scan's table: each prefix adds its key's row count of

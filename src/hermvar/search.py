@@ -44,6 +44,7 @@ from .cubics import (
     max_cubic_intersection,
     monomial_exponents,
     random_hypersurface,
+    _top_table,
 )
 from .errors import BudgetExceeded, OutOfRange
 from .field import make_field
@@ -51,12 +52,10 @@ from .hermitian import (
     DEFAULT_POINT_BUDGET,
     SectionType,
     hyperplane_section_counts,
-    nondegenerate_count,
     section_count,
     standard_form,
     tangent_hyperplanes,
     variety_mask,
-    variety_prefixes,
 )
 from .projgeom import (
     Hyperplane,
@@ -69,7 +68,7 @@ from .projgeom import (
 
 _MEMO_CELL_LIMIT = 50_000_000  # plane x hyperplane table entries
 _ARGMAX_LIMIT = 1000  # argmax arrangements listed in a triple-search report
-_EVAL_CHUNK_BYTES = 16 << 20  # working set of one random-cubic point chunk
+_EVAL_CHUNK_BYTES = 16 << 20  # working set of the random-cubic evaluation
 _LINE_SLICE = 1 << 20  # dual lines per slice of the catalog and the Gram keys
 
 
@@ -657,106 +656,212 @@ class RandomCubicReport:
         return _json_fields(self, "random_cubics")
 
 
-def _monomial_rows(pre, exps, ctx):
-    """Values at the rows of pre, prefixes (x_0 .. x_{n-1}), of the cubic
-    monomials exps in x_0 .. x_n with x_n := 1, one row per monomial, by
-    shared prefixes: each product of two variables once, each of three as
-    one of two times one variable."""
-    n = pre.shape[1]
-    prods = {(i,): np.ascontiguousarray(pre[:, i]) for i in range(n)}
-    prods[()] = np.ones(len(pre), dtype=np.uint8)
-    rows = np.empty((len(exps), len(pre)), dtype=np.uint8)
-    for r, exp in enumerate(exps):
-        key = tuple(i for i, e in enumerate(exp[:n]) for _ in range(e))
-        for k in range(2, len(key) + 1):
-            if key[:k] not in prods:
-                prods[key[:k]] = ctx.vmul(prods[key[: k - 1]], prods[key[k - 1 : k]])
-        rows[r] = prods[key]
-    return rows
+def _root_table(ctx):
+    """cnt[slab, u, v, w], a uint8 array of shape (3, Q, Q, Q): for slabs
+    0 and 1 the number of mu in U = ctx.norm_fibres[1], the elements of norm
+    1, with c3 mu^3 + u mu^2 + v mu + w = 0 at c3 = 1 and c3 = 0; slab 2 is
+    [w = 0].  One fancy += per mu of the lam-polynomial table on U's rows:
+    a fixed mu's indices (u * Q + v, -TT[mu, u * Q + v]) are distinct."""
+    Q = ctx.order
+    cnt = np.zeros((3, Q * Q, Q), dtype=np.uint8)
+    rows = np.arange(Q * Q)
+    for slab, c3 in enumerate((1, 0)):
+        for tt in _top_table(c3, 3, ctx, ctx.norm_fibres[1]):
+            cnt[slab, rows, ctx.neg_table[tt]] += 1
+    cnt[2, :, 0] = 1
+    return cnt.reshape(3, Q, Q, Q)
 
 
-def _fibre_values(polys, n, ctx, stages):
-    """Digits of every cubic's values at every point of U_n, all cubics at
-    once, by prefixes and norm fibres (hermitian.variety_prefixes): yields,
-    one norm class r of one chunk of prefixes at a time, (pre, lam, Y) with
-    lam = ctx.norm_fibres[r] and Y a float32 array of shape
-    (cubics, len(lam), m, len(pre)) whose entry Y[t, l, j, i] is, mod p,
-    digit j of cubic t's value at the point (pre[i], lam[l]).
+def _digit_matrix(ctx, ys, scale):
+    """The float32 matrix, m * len(ys) by 4 * m, whose entry [(o, l), (i, j)]
+    is digit o of scale[l] * ys[l]^i * p^j (p^j the index of the j-th
+    basis element).  Times a coefficient tensor's digits, rows (i, j) the
+    digit j of the coefficient of y^i, it gives digit o of
+    scale[l] * sum_i c_i ys[l]^i, mod p, at every l: ctx.mul_matrices
+    applied to the powers of ys."""
+    pw = [scale]
+    for _ in range(3):
+        pw.append(ctx.mul_table[pw[-1], ys])
+    M = ctx.mul_matrices[np.stack(pw, axis=1)]  # [l, i, o, j]
+    return M.transpose(2, 0, 1, 3).reshape(-1, 4 * ctx.ndigits).astype(np.float32)
 
-    Substituting x_n := lam turns the cubic sum c_e x^e into a polynomial in
-    the prefix with coefficient c_e lam^(e_n) at the monomial x'^(e[:n])
-    (0^0 = 1, so the class r = 0, lam = 0, keeps the e_n = 0 terms).  So a
-    class's cubics and fibre elements are the rows of one coefficient matrix
-    over the R prefix monomials, constant term included.  Multiplying by a
-    constant is an m x m matrix over F_p on base-p digit vectors
-    (ctx.mul_matrices), so the digits are A @ D mod p: A has one row block
-    per (cubic, lam) and one column block per monomial, D the digit planes
-    of the monomial values at the class's prefixes.  The product runs in
-    float32 and is exact while every sum, at most R m (p-1)^2, stays below
-    2^24.  A chunk's arrays take about _EVAL_CHUNK_BYTES at most, and at
-    most R bytes per point of U_n, the size of a matrix of every monomial's
-    value at every point.  The walk's time and the work counts are added
-    into the dict stages."""
-    p, m, q = ctx.p, ctx.ndigits, ctx.q
+
+def _mod_p(Y, p, scratch):
+    """Y mod p in place for a float32 array of integers below 2^24, as
+    Y - p * floor(Y / p) with true division: exact, since Y / p is an
+    integer or at least 1/p away from one.  The first Y.size entries of
+    the flat float32 array scratch hold the quotients."""
+    F = np.divide(Y, p, out=scratch[: Y.size].reshape(Y.shape))
+    np.floor(F, out=F)
+    F *= p
+    Y -= F
+    return Y
+
+
+def _cubic_coefficients(polys, n, ctx):
+    """(coef, c3): each cubic's coefficients over monomial_exponents(n, 3),
+    one uint8 row per cubic, scaled by the inverse of its x_n^3
+    coefficient c3 where c3 != 0 (the zero set is unchanged), and the c3
+    of each."""
     exps = monomial_exponents(n, 3)
-    R, T = len(exps), len(polys)
-    assert R * m * (p - 1) ** 2 < 2**24, "float32 sums would not be exact"
-    coef = np.zeros((T, R), dtype=np.uint8)
+    coef = np.zeros((len(polys), len(exps)), dtype=np.uint8)
     col = {e: r for r, e in enumerate(exps)}
     for t, C in enumerate(polys):
         for e, c in C.monomials:
             coef[t, col[e]] = c
-    # x^(e_n) for every field element x and prefix monomial, from x^0 .. x^3
-    x = np.arange(ctx.order, dtype=np.uint8)
-    powers = [np.ones_like(x)]
-    for _ in range(3):
-        powers.append(ctx.vmul(powers[-1], x))
-    lam_pow = np.stack(powers, axis=1)[:, [e[n] for e in exps]]
-    A = {}
+    c3 = coef[:, col[(0,) * n + (3,)]]
+    inv = ctx.inv_table[np.where(c3 == 0, 1, c3)]
+    return ctx.mul_table[inv[:, None], coef], c3
+
+
+def _scaled_parts(coef, n, ctx, stages):
+    """The parts C_k' = lam_r^(k-3) C_k, k = 0, 1, 2, of the cubics with
+    coefficient rows coef (over monomial_exponents(n, 3)) at every
+    canonical prefix, evaluated grid by grid, never point by point.
+    Yields (b0, ranks, r, Y): ranks, shape (L, c), the prefixes' rows of
+    point_array(n - 1), r, shape (L,), the norm each row of ranks needs of
+    x_n, and Y the float32 digits, shape (3, m, L, c, cubics), of C_k' at
+    those prefixes for the cubics b0 .. b0 + Y.shape[-1] - 1; Y[k, j] is
+    digit j of C_k', in a buffer that the next chunk overwrites.  Here
+    C = sum_k x_n^k C_k, lam_r = norm_fibres[r][0] and lam_0^(k-3) := 1.
+    Every prefix is yielded once per cubic.  The time of the block set-up
+    (walk_s) and the counts of prefixes, points of U_n and contraction
+    passes (chunks) are added into the dict stages.
+
+    The prefixes of pivot block s are the grid (0 .. 0, 1, y), y in
+    F_{q^2}^g with g = n - 1 - s.  A part's coefficient tensor, one slot
+    per exponent vector of y in {0..3}^g, is contracted over its F_p
+    digits one coordinate at a time, y_g first (_digit_matrix, each
+    tensor reduced mod p).  y_1 comes last, once per column class
+    sigma = 1 + sum_{j>=2} N(y_j) and part k, with the rows scaled by
+    lam_r^(k-3) for r = -(sigma + N(y_1)), so C_k' comes out of the
+    product.  The block of the prefix (0 .. 0, 1) has g = 0: its pivot
+    stands in for y_1, with the one value 1 and sigma = 0.  Products run
+    in float32; their sums, at most 4 m (p-1)^2, are exact.  Cubics are
+    batched and the column classes split so that the pre-final tensor and
+    each product take a quarter of _EVAL_CHUNK_BYTES at most; a block too
+    wide for one cubic is cut into grids that fix its last coordinates to
+    every value in turn, each grid's tensor the monomials' coefficients
+    times the fixed values' powers.  With the reduction's scratch and the
+    caller's keys, the live arrays stay within _EVAL_CHUNK_BYTES, beside
+    the caller's root table."""
+    p, m, Q, T = ctx.p, ctx.ndigits, ctx.order, len(coef)
+    add, mul, neg, nrm = ctx.add_table, ctx.mul_table, ctx.neg_table, ctx.norm_table
+    assert 4 * m * (p - 1) ** 2 < 2**24, "float32 sums would not be exact"
+    exps = monomial_exponents(n, 3)
+    # scale[k][r] = lam_r^(k-3), 1 at r = 0; fibre[r] = |{lam : N(lam) = r}|
+    lam_inv = np.ones(Q, dtype=np.uint8)
+    fibre = np.zeros(Q, dtype=np.int64)
     for r, lam in ctx.norm_fibres.items():
-        c = ctx.mul_table[coef[:, None, :], lam_pow[lam]]
-        # A[(t*F + l)*m + i, j*R + k]: digit i of coefficient k of cubic t
-        # at lam_l, times p^j
-        A[r] = ctx.mul_matrices[c].transpose(0, 1, 3, 4, 2).reshape(-1, m * R)
-        A[r] = A[r].astype(np.float32)
-    # bytes per prefix: monomials, digit planes, product, its rounding, mask
-    per_prefix = 2 * R + 4 * m * R + 9 * T * (q + 1) * m
-    chunk = max(1, min(R * nondegenerate_count(n, q), _EVAL_CHUNK_BYTES) // per_prefix)
+        lam_inv[r] = ctx.inv_table[lam[0]] if r else 1
+        fibre[r] = len(lam)
+    scale = [lam_inv]
+    for _ in range(2):
+        scale.insert(0, mul[scale[0], lam_inv])
+    x = np.arange(Q, dtype=np.uint8)
+    P = _digit_matrix(ctx, x, np.ones(Q, dtype=np.uint8))
+    finals = {}  # (sigma, len(ys)): y_1's matrices, part k scaled by lam_r^(k-3)
+    per_col = 48 * m  # bytes of one cubic's pre-final column: 3 parts x 4m rows
+    part = _EVAL_CHUNK_BYTES // 4
+    max_cols = part // per_col  # columns of a grid for one cubic
+    offs = _rank_offsets(n - 1, Q)
+    pw = np.stack([np.ones(Q, dtype=np.uint8), x, mul[x, x], mul[mul[x, x], x]], axis=1)
     t0 = time.time()
-    for pre, r in variety_prefixes(n, ctx, chunk):
-        # group the chunk's prefixes by norm class
-        order = np.argsort(r, kind="stable")
-        pre, r = pre[order], r[order]
-        cuts = np.flatnonzero(r[1:] != r[:-1]) + 1
-        stages["walk_s"] += time.time() - t0
-        stages["chunks"] += 1
-        stages["prefixes"] += len(pre)
-        D = ctx.digit_planes(_monomial_rows(pre, exps, ctx)).reshape(m * R, -1)
-        for a, b in zip(np.r_[0, cuts], np.r_[cuts, len(pre)]):
-            lam = ctx.norm_fibres[int(r[a])]
-            stages["points"] += len(lam) * int(b - a)
-            Y = A[int(r[a])] @ D[:, a:b]
-            yield pre[a:b], lam, Y.reshape(T, len(lam), m, -1)
-        t0 = time.time()
+    for s in range(n):
+        g = n - 1 - s
+        ys = x if g else x[1:2]
+        L = len(ys)
+        # the free coordinates: y_1 .. y_g, or the pivot alone at g = 0; a
+        # grid keeps the first G of them, at most max_cols columns, and fixes
+        # the last f to every value in turn
+        G0 = max(g, 1)
+        G = next(G for G in range(G0, 0, -1) if G == 1 or Q ** (G - 1) <= max_cols)
+        f, C = G0 - G, Q ** (G - 1)
+        # each monomial of the block: exponents 0 before the pivot, x_n^k
+        # with k < 3, and e its exponents of x_{n-G0} .. x_{n-1}
+        rows = [i for i, e in enumerate(exps) if e[n] < 3 and not any(e[:s])]
+        ks = np.array([exps[i][n] for i in rows])
+        e = np.array([exps[i][n - G0 : n] for i in rows])
+        slots = np.ravel_multi_index(e[:, :G].T, (4,) * G)
+        cf = coef[:, rows].T
+        stages["prefixes"] += L * Q ** (G0 - 1)
+        tb = int(np.clip(part // (per_col * C), 1, T))
+        lead = ys.astype(np.int64) * Q ** (g - 1) if g else np.zeros(1, dtype=np.int64)
+        for vals in itertools.product(range(Q), repeat=f):
+            sigma, rank, mult = int(g > 0), offs[s], np.ones(len(rows), dtype=np.uint8)
+            for i, v in enumerate(vals):
+                sigma = add[sigma, nrm[v]]
+                rank += v * Q ** (f - 1 - i)
+                mult = mul[mult, pw[v, e[:, G + i]]]
+            sig = np.full(1, sigma, dtype=np.uint8)
+            for _ in range(G - 1):
+                sig = add[sig[:, None], nrm].ravel()
+            order = np.argsort(sig, kind="stable")
+            groups = np.split(order, np.flatnonzero(np.diff(sig[order])) + 1)
+            for idx in groups:
+                stages["points"] += len(idx) * int(fibre[neg[add[sig[idx[0]], nrm[ys]]]].sum())
+            step = min(max(1, part // (12 * m * L * tb)), max(map(len, groups)))
+            buf = np.empty(3 * m * L * step * tb, dtype=np.float32)
+            scratch = np.empty(max(len(buf), 12 * m * C * tb), dtype=np.float32)
+            for b0 in range(0, T, tb):
+                # the grid's coefficient tensor in digits, [k, slot, j, t];
+                # fixed coordinates can send several monomials to one slot
+                c = mul[mult[:, None], cf[:, b0 : b0 + tb]]
+                X = np.zeros((3, 4**G, m, c.shape[1]), dtype=np.float32)
+                np.add.at(X, (ks, slots), ctx.digit_table[:, c].transpose(1, 0, 2))
+                X = _mod_p(X, p, scratch).reshape(-1, 4 * m, c.shape[1])
+                stages["walk_s"] += time.time() - t0
+                stages["chunks"] += 1
+                for _ in range(G - 1):  # y_G .. y_2, each a new leading column axis
+                    Y = _mod_p(np.matmul(P, X), p, scratch)
+                    X = Y.reshape(-1, 4 * m, Q * Y.shape[-1])
+                X = X.reshape(3, 4 * m, C, -1)
+                for idx in groups:
+                    sigma = int(sig[idx[0]])
+                    r = neg[add[sigma, nrm[ys]]]
+                    if (sigma, L) not in finals:
+                        finals[sigma, L] = [_digit_matrix(ctx, ys, scale[k][r]) for k in range(3)]
+                    for a in range(0, len(idx), step):
+                        cols = idx[a : a + step]
+                        Xg = X[:, :, cols]
+                        Y = buf[: 3 * m * L * Xg[0, 0].size].reshape(3, m * L, -1)
+                        for k, Pk in enumerate(finals[sigma, L]):
+                            np.matmul(Pk, Xg[k].reshape(4 * m, -1), out=Y[k])
+                        _mod_p(Y, p, scratch)
+                        ranks = lead[:, None] + (rank + cols * Q**f)
+                        yield b0, ranks, r, Y.reshape(3, m, L, len(cols), -1)
+                t0 = time.time()
     stages["walk_s"] += time.time() - t0
 
 
 def _zero_counts(polys, n, ctx, stages):
-    """Zeros of each cubic on U_n; the prefix walk's time and the counts of
-    prefixes, points and chunks are added into the dict stages."""
-    p = ctx.p
+    """Zeros of each cubic on U_n, the standard form's variety, from the
+    scaled parts at every canonical prefix (_scaled_parts, which adds its
+    stage times and counts into the dict stages) and one gather of the
+    root table per chunk.
+
+    A point of U_n is a prefix and one x_n = lam with N(lam) = r.  Each
+    cubic is scaled by 1 / c3, c3 its x_n^3 coefficient, when c3 != 0
+    (kind 0, c3 = 1) and kept when c3 = 0 (kind 1).  For r != 0 the fibre
+    is lam_r U, U the q + 1 elements of norm 1, and
+    C(pre, lam_r mu) = lam_r^3 (c3 mu^3 + C_2' mu^2 + C_1' mu + C_0'); for
+    r = 0 the one point, lam = 0, is a zero iff C_0 = C_0' = 0.  So a
+    prefix's zeros are the entry of _root_table at
+    key = slab Q^3 + C_2' Q^2 + C_1' Q + C_0', slab the kind, or 2 at
+    r = 0.  The keys, below 3 Q^3 < 2^24, are exact in float32."""
+    p, m, Q = ctx.p, ctx.ndigits, ctx.order
+    assert 3 * Q**3 < 2**24, "float32 keys would not be exact"
+    coef, c3 = _cubic_coefficients(polys, n, ctx)
+    slab = np.where(c3 == 0, Q**3, 0).astype(np.float32)
+    cnt = _root_table(ctx).ravel()
+    weights = (Q ** np.arange(3)[:, None] * p ** np.arange(m)).astype(np.float32).ravel()
     counts = np.zeros(len(polys), dtype=np.int64)
-    for _, _, Y in _fibre_values(polys, n, ctx, stages):
-        # in float32, an integer y < 2^24 is a multiple of p iff
-        # p * rint(y / p) == y
-        Z = Y / p
-        np.rint(Z, out=Z)
-        Z *= p
-        digit_zero = Z == Y
-        zero = digit_zero[:, :, 0]
-        for j in range(1, ctx.ndigits):
-            zero &= digit_zero[:, :, j]
-        counts += np.count_nonzero(zero.reshape(len(polys), -1), axis=1)
+    for b0, _, r, Y in _scaled_parts(coef, n, ctx, stages):
+        tb = Y.shape[-1]
+        key = (weights @ Y.reshape(3 * m, -1)).reshape(len(r), -1, tb)
+        key += np.where((r == 0)[:, None, None], np.float32(2 * Q**3), slab[b0 : b0 + tb])
+        found = cnt.take(key.astype(np.intp)).reshape(-1, tb)
+        counts[b0 : b0 + tb] += found.sum(axis=0, dtype=np.int64)
     return counts
 
 
@@ -766,21 +871,24 @@ def random_cubic_sample(
     """Sample uniformly random cubics, discard those divisible by a linear
     form, and compare each retained intersection count against the
     cubic-split threshold.  Exceedances at q >= 7 are counterexample
-    candidates and carry the full polynomial.
+    candidates and carry the full polynomial.  The threshold is computed
+    first, so n < 4 raises OutOfRange before any trial.
 
     Trial t draws its cubic from the seed sequence (seed, t).  Every
-    retained cubic is then evaluated on the points of U_n only, all of them
-    together, without a scan of P^n: U_n is walked as canonical prefixes
-    (x_0 .. x_{n-1}), about 1/q^2 of P^n, each with the norm fibre of its
-    last coordinate, and each norm class of a chunk of prefixes is one F_p
-    matrix product that gives every cubic's value at every point (prefix,
-    lam) of the class (see _fibre_values).  The call runs in one process;
-    `workers` is accepted and ignored.  The report's `stages` holds the
-    wall time of the linear-factor screen, the prefix walk and the rest of
-    the evaluation, and the counts of prefixes walked, points evaluated,
-    trials batched and prefix chunks."""
+    retained cubic is then counted on the points of U_n only, all of them
+    together, without a scan of P^n or a point array (see _zero_counts):
+    the parts C_0, C_1, C_2 of C = sum_k x_n^k C_k are evaluated on each
+    pivot block's grid of canonical prefixes (x_0 .. x_{n-1}), about 1/q^2
+    of P^n, by one F_p tensor contraction per coordinate, and each prefix's
+    zeros over its norm fibre are one entry of a root-count table over the
+    q + 1 elements of norm 1.  The call runs in one process; `workers` is
+    accepted and ignored.  The report's `stages` holds the wall time of the
+    linear-factor screen, the block set-up (walk_s) and the rest of the
+    evaluation, and the counts of prefixes, points of U_n, trials batched
+    and contraction passes (chunks)."""
     if trials < 0:
         raise OutOfRange(f"trials={trials} must be >= 0")
+    threshold = cubic_bound_closed(n, q)
     t0 = time.time()
     ctx = make_field(q)
     N = num_points(n, q)
@@ -801,7 +909,6 @@ def random_cubic_sample(
     t2 = time.time()
     stages.update(screen_s=t1 - t0, eval_s=t2 - t1 - stages["walk_s"])
     stages["trials_batched"] = len(kept)
-    threshold = cubic_bound_closed(n, q)
     hist = {}
     exceed = []
     for (t, C), count in zip(kept.items(), counts):

@@ -243,22 +243,18 @@ def test_vector_gathers_match_tables_on_all_pairs(q, cap):
 @pytest.mark.parametrize("q,cap", [(q, 13) for q in PRIME_POWERS] + [(16, 16)])
 def test_mul_matrices_and_digit_planes_match_tables_on_all_pairs(q, cap):
     # digits of a*b == mul_matrices[a] @ digits of b (mod p), for all Q^2
-    # pairs; the digit planes of every index recombine to the index
+    # pairs; the digit planes, the rows of digit_table, recombine to every
+    # index
     ctx = make_field(q, cap=cap)
     p, m, Q = ctx.p, ctx.ndigits, ctx.order
     assert m == 2 * ctx.e and ctx.mul_matrices.shape == (Q, m, m)
-    elems = np.arange(Q, dtype=np.uint8)
-    planes = ctx.digit_planes(elems)
-    assert planes.dtype == np.float32 and planes.shape == (m, Q)
-    assert ((planes >= 0) & (planes < p)).all()
-    assert np.array_equal(p ** np.arange(m) @ planes.astype(np.int64), np.arange(Q))
-    digits = ctx.digit_planes(elems, dtype=np.int64)
+    assert ctx.digit_table.dtype == np.uint8 and ctx.digit_table.shape == (m, Q)
+    digits = ctx.digit_table.astype(np.int64)  # [j, a]
+    assert ((digits >= 0) & (digits < p)).all()
+    assert np.array_equal(p ** np.arange(m) @ digits, np.arange(Q))
     prod = np.einsum("aij,jb->aib", ctx.mul_matrices.astype(np.int64), digits) % p
-    want = ctx.digit_planes(ctx.mul_table, dtype=np.int64)  # [i, a, b]
+    want = digits[:, ctx.mul_table]  # [i, a, b]
     assert np.array_equal(prod, want.transpose(1, 0, 2))
-    # a 2-d index array keeps its shape behind the digit axis
-    grid = ctx.mul_table[1:3]
-    assert np.array_equal(ctx.digit_planes(grid), planes[:, grid])
 
 
 def test_vector_ops_match_scalar():

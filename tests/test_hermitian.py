@@ -26,7 +26,6 @@ from hermvar.hermitian import (
     tangent_hyperplanes,
     tangents_through_count,
     variety_mask,
-    variety_prefixes,
 )
 from hermvar.projgeom import (
     Hyperplane,
@@ -281,19 +280,34 @@ def test_form_scan_table_is_the_form(n, q):
         if num_points(n, q) <= num_points(4, 7)
     ],
 )
-def test_variety_prefixes_expand_to_variety(n, q):
-    # prefixes x norm fibres, expanded in order, list U_n row for row in the
-    # canonical order of the P^n scan; chunks cross the pivot blocks
+def test_variety_prefixes_expand_to_variety(n, q, monkeypatch):
+    # the random-cubic path's prefixes of U_n, each with the norm r it needs
+    # of x_n, expanded by their fibres in rank order, list U_n row for row in
+    # the canonical order of the P^n scan; each prefix comes once, also when
+    # a tiny budget splits every block's grid by its last coordinates
+    from hermvar import search
+    from hermvar.cubics import make_hypersurface
+
     ctx = make_field(q)
-    rows, chunks = [], 0
-    for pre, r in variety_prefixes(n, ctx, chunk=997):
-        fibres = [ctx.norm_fibres[int(x)] for x in r]
-        pre = np.repeat(pre, [len(lam) for lam in fibres], axis=0)
-        rows.append(np.column_stack((pre, np.concatenate(fibres))))
-        chunks += 1
-    assert chunks == -(-num_points(n - 1, q) // 997)
+    M = num_points(n - 1, q)
     want = point_array(n, ctx)[variety_mask(standard_form(n, ctx))]
-    assert np.array_equal(np.concatenate(rows), want)
+    coef, _ = search._cubic_coefficients(
+        [make_hypersurface({(0,) * n + (3,): 1}, n, 3, ctx)], n, ctx
+    )
+    for budget in (search._EVAL_CHUNK_BYTES, 1 << 12):
+        monkeypatch.setattr(search, "_EVAL_CHUNK_BYTES", budget)
+        stages = dict(walk_s=0.0, prefixes=0, points=0, chunks=0)
+        ranks, norms = [], []
+        for _, rk, r, _ in search._scaled_parts(coef, n, ctx, stages):
+            ranks.append(rk.ravel())
+            norms.append(np.repeat(r, rk.shape[1]))
+        ranks, norms = np.concatenate(ranks), np.concatenate(norms)
+        order = np.argsort(ranks)
+        assert np.array_equal(ranks[order], np.arange(M))
+        fibres = [ctx.norm_fibres[int(x)] for x in norms[order]]
+        pre = np.repeat(point_array(n - 1, ctx), [len(lam) for lam in fibres], axis=0)
+        assert np.array_equal(np.column_stack((pre, np.concatenate(fibres))), want)
+        assert stages["prefixes"] == M and stages["points"] == len(want)
 
 
 def test_tangent_hyperplane_example():

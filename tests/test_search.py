@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import json
 import math
 
@@ -705,6 +706,23 @@ def test_random_cubic_sample_errors_propagate_and_repeat(monkeypatch):
         random_cubic_sample(4, 2, trials=3, seed=1)
 
 
+def test_random_cubic_sample_below_n4_raises_before_any_trial(monkeypatch, capsys):
+    # the split threshold needs n >= 4: the OutOfRange comes before any
+    # trial is screened or evaluated, and the CLI exits 2
+    from hermvar import cli, search
+
+    def no_trial(*args):
+        raise AssertionError("trial screened or evaluated for n < 4")
+
+    monkeypatch.setattr(search, "linear_factor", no_trial)
+    monkeypatch.setattr(search, "_zero_counts", no_trial)
+    with pytest.raises(OutOfRange, match="n=3 below 4"):
+        random_cubic_sample(3, 7, trials=12, seed=1)
+    argv = ["search", "--q", "7", "--n", "3", "--mode", "random", "--trials", "12"]
+    assert cli.main(argv) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "OutOfRange"
+
+
 def test_random_cubic_sample_without_retained_trials(monkeypatch):
     # no trials, or every trial discarded: a valid empty report, and
     # nothing is evaluated
@@ -753,38 +771,167 @@ def _kernel_cubics(n, ctx, rng):
     ]
 
 
+def _scaled_part_values(C, n, ctx, pre, r):
+    """C_k' = lam_r^(k-3) C_k, k = 0, 1, 2, at the prefix rows pre with
+    norm classes r (one per row), each part by eval_poly_at, the cubic first
+    scaled by the inverse of its x_n^3 coefficient c3 when c3 != 0."""
+    from hermvar.cubics import Hypersurface, eval_poly_at
+
+    mul = ctx.mul_table
+    c3 = dict(C.monomials).get((0,) * n + (3,), 0)
+    lam_inv = np.array(
+        [ctx.inv(int(ctx.norm_fibres[int(x)][0])) if x else 1 for x in r], dtype=np.uint8
+    )
+    out = []
+    for k in range(3):
+        terms = tuple((e[:n], c) for e, c in C.monomials if e[n] == k)
+        part = Hypersurface(terms, n - 1, 3 - k)
+        v = eval_poly_at(part, pre, ctx) if terms else np.zeros(len(pre), dtype=np.uint8)
+        for _ in range(3 - k):
+            v = mul[lam_inv, v]
+        out.append(mul[ctx.inv(c3), v] if c3 else v)
+    return np.stack(out)
+
+
 @pytest.mark.parametrize(
-    "n,q", [(3, q) for q in (2, 3, 4, 5, 7, 8)] + [(2, q) for q in (9, 11, 13)]
+    "n,q",
+    [(3, q) for q in (2, 3, 4, 5, 7, 8)] + [(2, q) for q in (9, 11, 13)] + [(4, 2), (4, 3)],
 )
-def test_batched_values_match_eval_poly_at(n, q):
-    # every digit of every value at every point of U_n, for p = 2 .. 13 and
-    # m = 2, 4, 6, against the table evaluation one cubic at a time; the
-    # blocks' points are U_n, each once, and take every norm class
+def test_batched_values_match_eval_poly_at(n, q, monkeypatch):
+    # every digit of every scaled part C_k' at every prefix of every block,
+    # for p = 2 .. 13 and m = 2, 4, 6, against eval_poly_at of that part on
+    # point_array(n - 1), one cubic at a time; each prefix comes once per
+    # cubic and the classes include r = 0; the counts are the zeros on U_n.
+    # At n = 3 the second budget, a quarter of it 60 m Q bytes, keeps each
+    # block's grid whole but batches the cubics one by one, and at q >= 5
+    # it splits the column classes (q + 1 columns) into products of 5; the
+    # third cuts every block into one-column grids, fixing all coordinates
+    # but y_1
     from hermvar import search
     from hermvar.cubics import eval_poly_at
-    from hermvar.projgeom import point_rank_array
 
     ctx = make_field(q)
     p, m = ctx.p, ctx.ndigits
     polys = _kernel_cubics(n, ctx, np.random.default_rng(q))
+    coef, _ = search._cubic_coefficients(polys, n, ctx)
+    prefixes = point_array(n - 1, ctx)
+    U = point_array(n, ctx)[variety_mask(standard_form(n, ctx))]
+    want_counts = [int((eval_poly_at(C, U, ctx) == 0).sum()) for C in polys]
+    for budget in (search._EVAL_CHUNK_BYTES, 240 * m * ctx.order, 192 * m):
+        monkeypatch.setattr(search, "_EVAL_CHUNK_BYTES", budget)
+        seen = np.zeros((len(prefixes), len(polys)), dtype=np.int64)
+        classes = set()
+        stages = dict(walk_s=0.0, prefixes=0, points=0, chunks=0)
+        for b0, ranks, r, Y in search._scaled_parts(coef, n, ctx, stages):
+            w = Y.shape[-1]
+            assert Y.shape == (3, m, len(r), ranks.shape[1], w) and b0 + w <= len(polys)
+            assert Y.dtype == np.float32 and ((Y >= 0) & (Y < p) & (Y == np.rint(Y))).all()
+            got = np.einsum("kjlct,j->tklc", Y.astype(np.int64), p ** np.arange(m))
+            pre = prefixes[ranks.ravel()]
+            rows = np.repeat(r, ranks.shape[1])
+            for t in range(w):
+                want = _scaled_part_values(polys[b0 + t], n, ctx, pre, rows)
+                assert np.array_equal(got[t].reshape(3, -1), want), (b0 + t, r)
+            np.add.at(seen, (ranks.ravel()[:, None], np.arange(b0, b0 + w)), 1)
+            classes.update(r.tolist())
+        assert (seen == 1).all()
+        assert stages["prefixes"] == len(prefixes) == num_points(n - 1, q)
+        assert stages["chunks"] >= n  # at least one pass per pivot block
+        assert 0 in classes  # the r = 0 class
+        assert stages["points"] == len(U) == nondegenerate_count(n, q)
+        counts = search._zero_counts(polys, n, ctx, dict.fromkeys(stages, 0))
+        assert counts.tolist() == want_counts
+    # one pass per cubic and one-column grid
+    assert stages["chunks"] == len(polys) * (num_points(n - 2, q) + 1)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_root_table_counts_norm_one_roots(q):
+    # every (kind, u, v, w) entry against a direct count over U, the q + 1
+    # elements of norm 1: c3 mu^3 + u mu^2 + v mu + w = 0 at c3 = 1, 0, and
+    # slab 2 is [w = 0]
+    from hermvar import search
+
+    ctx = make_field(q)
+    Q = ctx.order
+    U = [x for x in range(Q) if ctx.norm(x) == 1]
+    assert len(U) == q + 1
+    cnt = search._root_table(ctx)
+    assert cnt.dtype == np.uint8 and cnt.shape == (3, Q, Q, Q)
+    for slab, c3 in enumerate((1, 0)):
+        for u, v, w in itertools.product(range(Q), repeat=3):
+            roots = 0
+            for mu in U:
+                val = ctx.mul(c3, ctx.pow(mu, 3))
+                val = ctx.add(val, ctx.mul(u, ctx.pow(mu, 2)))
+                val = ctx.add(ctx.add(val, ctx.mul(v, mu)), w)
+                roots += val == 0
+            assert cnt[slab, u, v, w] == roots, (slab, u, v, w)
+    w = np.arange(Q)
+    assert np.array_equal(cnt[2], np.broadcast_to(w == 0, (Q, Q, Q)))
+
+
+@functools.lru_cache(maxsize=None)
+def _variety_rows(n, q):
+    ctx = make_field(q)
+    return point_array(n, ctx)[variety_mask(standard_form(n, ctx))].tolist()
+
+
+@pytest.mark.parametrize("n,q", [(n, q) for n in (1, 2, 3, 4) for q in (2, 3, 4)])
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_zero_counts_match_scalar_count(n, q, data):
+    # random, sparse, c3 = 0 and pure x_n^3 cubics, at budgets that split
+    # cubic batches, column classes and grids down to one column: the
+    # counts equal a scalar evaluate_poly count over U_n
+    from hermvar import search
+    from hermvar.cubics import evaluate_poly, make_hypersurface, monomial_exponents
+
+    ctx = make_field(q)
+    Q = ctx.order
+    exps = monomial_exponents(n, 3)
+    top = (0,) * n + (3,)
+    polys = []
+    kinds = st.sampled_from(["random", "sparse", "no_top", "top"])
+    for kind in data.draw(st.lists(kinds, min_size=1, max_size=2), label="kinds"):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        if kind == "top":
+            coeffs = {top: int(rng.integers(1, Q))}
+        elif kind == "sparse":
+            picks = rng.choice(len(exps), size=min(3, len(exps)), replace=False)
+            coeffs = {exps[i]: int(rng.integers(1, Q)) for i in picks}
+        else:
+            coeffs = {e: int(rng.integers(0, Q)) for e in exps}
+            if kind == "no_top":
+                coeffs[top] = 0
+            if not any(coeffs.values()):
+                coeffs[exps[0]] = 1
+        polys.append(make_hypersurface(coeffs, n, 3, ctx))
+    budgets = [1 << 8, 1 << 11, 1 << 14, search._EVAL_CHUNK_BYTES]
+    budget = data.draw(st.sampled_from(budgets), label="budget")
     stages = dict(walk_s=0.0, prefixes=0, points=0, chunks=0)
-    pts, values = [], []
-    for pre, lam, Y in search._fibre_values(polys, n, ctx, stages):
-        assert Y.shape == (len(polys), len(lam), m, len(pre))
-        digits = Y.astype(np.int64) % p
-        values.append(np.einsum("tljk,j->tlk", digits, p ** np.arange(m)).reshape(len(polys), -1))
-        pts.append(np.column_stack((np.tile(pre, (len(lam), 1)), np.repeat(lam, len(pre)))))
-    pts, values = np.concatenate(pts), np.concatenate(values, axis=1)
-    want = np.stack([eval_poly_at(C, pts, ctx) for C in polys])
-    assert np.array_equal(values, want)
-    order = np.argsort(point_rank_array(pts, ctx))
-    assert np.array_equal(pts[order], point_array(n, ctx)[variety_mask(standard_form(n, ctx))])
-    assert stages["chunks"] > 1  # more than one prefix chunk
-    assert stages["prefixes"] == num_points(n - 1, q)
-    assert stages["points"] == len(pts) == nondegenerate_count(n, q)
-    assert (pts[:, n] == 0).any()  # the r = 0 class
-    counts = search._zero_counts(polys, n, ctx, dict.fromkeys(stages, 0))
-    assert counts.tolist() == (want == 0).sum(axis=1).tolist()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "_EVAL_CHUNK_BYTES", budget)
+        counts = search._zero_counts(polys, n, ctx, stages)
+    rows = _variety_rows(n, q)
+    want = [sum(evaluate_poly(C, P, ctx) == 0 for P in rows) for C in polys]
+    assert counts.tolist() == want
+    assert stages["points"] == len(rows)
+    if budget == 1 << 8:
+        assert stages["chunks"] >= n * len(polys)  # one cubic per batch
+
+
+def test_zero_counts_of_the_extremal_product():
+    # the product of the extremal arrangement's three hyperplanes at (4,7)
+    # meets U_4 in the closed-form maximum, 50,912 points
+    from hermvar import search
+    from hermvar.cubics import build_extremal, expand_product
+
+    ctx = make_field(7)
+    arr = build_extremal(standard_form(4, ctx))
+    C = expand_product(list(arr.hyperplanes), ctx)
+    stages = dict(walk_s=0.0, prefixes=0, points=0, chunks=0)
+    assert search._zero_counts([C], 4, ctx, stages).tolist() == [max_cubic_intersection(4, 7)]
 
 
 def test_random_cubic_sample_never_scans_projective_space(monkeypatch):
