@@ -69,6 +69,13 @@ from .projgeom import (
 _MEMO_CELL_LIMIT = 50_000_000  # plane x hyperplane table entries
 _ARGMAX_LIMIT = 1000  # argmax arrangements listed in a triple-search report
 _EVAL_CHUNK_BYTES = 16 << 20  # working set of the random-cubic evaluation
+# M * K * N of one float32 product of that evaluation.  OpenBLAS splits a
+# product of M K N >= 2^19 across its threads (above 10^6 where it has an
+# AVX-512 small-matrix kernel), which then spin on the other cores after the
+# call: the split ran slower per column and made the job's time depend on
+# what else ran on those cores.  At 2^18 every product runs on the calling
+# thread, and a final product's output stays in L2 with its mod-p reduction.
+_PRODUCT_MNK = 1 << 18
 _LINE_SLICE = 1 << 20  # dual lines per slice of the catalog and the Gram keys
 
 
@@ -686,6 +693,16 @@ def _digit_matrix(ctx, ys, scale):
     return M.transpose(2, 0, 1, 3).reshape(-1, 4 * ctx.ndigits).astype(np.float32)
 
 
+def _matmul(P, X, out):
+    """out = P @ X for a float32 matrix P, (M, K), and a stack X, (..., K, N),
+    in slices of X's columns with M K N at most _PRODUCT_MNK each, so that
+    BLAS runs every slice on the calling thread."""
+    w = max(1, _PRODUCT_MNK // P.size)
+    for a in range(0, X.shape[-1], w):
+        np.matmul(P, X[..., a : a + w], out=out[..., a : a + w])
+    return out
+
+
 def _mod_p(Y, p, scratch):
     """Y mod p in place for a float32 array of integers below 2^24, as
     Y - p * floor(Y / p) with true division: exact, since Y / p is an
@@ -739,7 +756,8 @@ def _scaled_parts(coef, n, ctx, stages):
     stands in for y_1, with the one value 1 and sigma = 0.  Products run
     in float32; their sums, at most 4 m (p-1)^2, are exact.  Cubics are
     batched and the column classes split so that the pre-final tensor and
-    each product take a quarter of _EVAL_CHUNK_BYTES at most; a block too
+    each final part's products take a quarter of _EVAL_CHUNK_BYTES at most,
+    and every product has M K N at most _PRODUCT_MNK (_matmul); a block too
     wide for one cubic is cut into grids that fix its last coordinates to
     every value in turn, each grid's tensor the monomials' coefficients
     times the fixed values' powers.  With the reduction's scratch and the
@@ -800,7 +818,9 @@ def _scaled_parts(coef, n, ctx, stages):
             groups = np.split(order, np.flatnonzero(np.diff(sig[order])) + 1)
             for idx in groups:
                 stages["points"] += len(idx) * int(fibre[neg[add[sig[idx[0]], nrm[ys]]]].sum())
-            step = min(max(1, part // (12 * m * L * tb)), max(map(len, groups)))
+            # columns of one final product: its bytes and its M K N capped
+            cap = min(part // 3 // (4 * m * L * tb), _PRODUCT_MNK // (4 * m * m * L * tb))
+            step = min(max(1, cap), max(map(len, groups)))
             buf = np.empty(3 * m * L * step * tb, dtype=np.float32)
             scratch = np.empty(max(len(buf), 12 * m * C * tb), dtype=np.float32)
             for b0 in range(0, T, tb):
@@ -813,7 +833,8 @@ def _scaled_parts(coef, n, ctx, stages):
                 stages["walk_s"] += time.time() - t0
                 stages["chunks"] += 1
                 for _ in range(G - 1):  # y_G .. y_2, each a new leading column axis
-                    Y = _mod_p(np.matmul(P, X), p, scratch)
+                    Y = np.empty((len(X), len(P), X.shape[-1]), dtype=np.float32)
+                    Y = _mod_p(_matmul(P, X, Y), p, scratch)
                     X = Y.reshape(-1, 4 * m, Q * Y.shape[-1])
                 X = X.reshape(3, 4 * m, C, -1)
                 for idx in groups:
@@ -826,7 +847,7 @@ def _scaled_parts(coef, n, ctx, stages):
                         Xg = X[:, :, cols]
                         Y = buf[: 3 * m * L * Xg[0, 0].size].reshape(3, m * L, -1)
                         for k, Pk in enumerate(finals[sigma, L]):
-                            np.matmul(Pk, Xg[k].reshape(4 * m, -1), out=Y[k])
+                            _matmul(Pk, Xg[k].reshape(4 * m, -1), Y[k])
                         _mod_p(Y, p, scratch)
                         ranks = lead[:, None] + (rank + cols * Q**f)
                         yield b0, ranks, r, Y.reshape(3, m, L, len(cols), -1)

@@ -805,8 +805,12 @@ def test_batched_values_match_eval_poly_at(n, q, monkeypatch):
     # At n = 3 the second budget, a quarter of it 60 m Q bytes, keeps each
     # block's grid whole but batches the cubics one by one, and at q >= 5
     # it splits the column classes (q + 1 columns) into products of 5; the
-    # third cuts every block into one-column grids, fixing all coordinates
-    # but y_1
+    # third keeps the default budget but caps each product's M K N at
+    # 4 m^2 Q, one column of one cubic per product in the full-width blocks;
+    # the last cuts every block into one-column grids, fixing all
+    # coordinates but y_1.  No product's M K N exceeds its cap but where one
+    # column already does, and no final product's output its byte budget
+    # but where one column of a cubic batch already does
     from hermvar import search
     from hermvar.cubics import eval_poly_at
 
@@ -817,8 +821,24 @@ def test_batched_values_match_eval_poly_at(n, q, monkeypatch):
     prefixes = point_array(n - 1, ctx)
     U = point_array(n, ctx)[variety_mask(standard_form(n, ctx))]
     want_counts = [int((eval_poly_at(C, U, ctx) == 0).sum()) for C in polys]
-    for budget in (search._EVAL_CHUNK_BYTES, 240 * m * ctx.order, 192 * m):
+    default, product = search._EVAL_CHUNK_BYTES, search._PRODUCT_MNK
+    configs = [
+        (default, product),
+        (240 * m * ctx.order, product),
+        (default, 4 * m * m * ctx.order),
+        (192 * m, product),
+    ]
+    matmul, products = np.matmul, []
+
+    def record(P, X, **kw):
+        products.append((P.size * X.shape[-1], P.size))
+        return matmul(P, X, **kw)
+
+    monkeypatch.setattr(search.np, "matmul", record)
+    for budget, cap in configs:
         monkeypatch.setattr(search, "_EVAL_CHUNK_BYTES", budget)
+        monkeypatch.setattr(search, "_PRODUCT_MNK", cap)
+        products.clear()
         seen = np.zeros((len(prefixes), len(polys)), dtype=np.int64)
         classes = set()
         stages = dict(walk_s=0.0, prefixes=0, points=0, chunks=0)
@@ -826,6 +846,8 @@ def test_batched_values_match_eval_poly_at(n, q, monkeypatch):
             w = Y.shape[-1]
             assert Y.shape == (3, m, len(r), ranks.shape[1], w) and b0 + w <= len(polys)
             assert Y.dtype == np.float32 and ((Y >= 0) & (Y < p) & (Y == np.rint(Y))).all()
+            col_bytes = 4 * m * len(r) * w  # one column of one part's product
+            assert col_bytes * ranks.shape[1] <= max(budget // 12, col_bytes)
             got = np.einsum("kjlct,j->tklc", Y.astype(np.int64), p ** np.arange(m))
             pre = prefixes[ranks.ravel()]
             rows = np.repeat(r, ranks.shape[1])
@@ -839,6 +861,7 @@ def test_batched_values_match_eval_poly_at(n, q, monkeypatch):
         assert stages["chunks"] >= n  # at least one pass per pivot block
         assert 0 in classes  # the r = 0 class
         assert stages["points"] == len(U) == nondegenerate_count(n, q)
+        assert products and all(mnk <= max(cap, size) for mnk, size in products)
         counts = search._zero_counts(polys, n, ctx, dict.fromkeys(stages, 0))
         assert counts.tolist() == want_counts
     # one pass per cubic and one-column grid
