@@ -17,16 +17,16 @@ value, and each member of a hyperplane run is one table compare against it.
 
 Codimension-2 subspaces are enumerated directly as reduced-row-echelon dual
 lines (two-row RREF matrices of covectors), which visits every pencil
-exactly once without deduplication.  One walk over the RREF free digits,
-_dual_line_digits, serves both per-line computations, the ranks of a
-line's members and its 2 x 2 dual Gram matrix: each is a sum of terms in
-one or two free digits, so it is built as broadcast sums over a bounded
-slice of the digit grid, never as rows.  The pencil scan needs only the
-Gram matrix: by polarity it fixes the axis's section shape and which
-members are tangent, so the scan builds no incidence and no catalog.
+exactly once without deduplication.  A walk over the RREF free digits,
+_dual_line_digits, gives the ranks of a line's members: each is a sum of
+terms in one or two free digits, so the catalog is built as broadcast sums
+over a bounded slice of the digit grid, never as rows.  The pencil scan
+visits no dual line: by polarity the rank of a pencil's 2 x 2 dual Gram
+matrix fixes the axis's section shape and which members are tangent, and
+each rank is one unitary orbit of closed-form size, so the scan's report
+is read from three orbit counts.
 """
 
-import functools
 import itertools
 import json
 import math
@@ -76,7 +76,7 @@ _EVAL_CHUNK_BYTES = 16 << 20  # working set of the random-cubic evaluation
 # what else ran on those cores.  At 2^18 every product runs on the calling
 # thread, and a final product's output stays in L2 with its mod-p reduction.
 _PRODUCT_MNK = 1 << 18
-_LINE_SLICE = 1 << 20  # dual lines per slice of the catalog and the Gram keys
+_LINE_SLICE = 1 << 20  # dual lines per slice of the catalog
 
 
 def gaussian_binomial(m, k, Q):
@@ -180,35 +180,6 @@ def dual_line_catalog(n, ctx):
         a += cnt
     assert a == len(cat)
     return cat
-
-
-def dual_gram_keys(n, ctx):
-    """Dual Gram key of every dual line of P^n under the standard form, in
-    dual_line_catalog's row order, yielded one slice of _dual_line_digits
-    at a time.
-
-    The key of the line (r1, r2) is (G11 Q + G12) Q + G22 with G11 = <r1, r1>,
-    G12 = <r1, r2> and G22 = <r2, r2> for the dual form <a, b> = sum a_j b_j^q.
-    In RREF these are G11 = 1 + sum N(r1_j) over r1's free digits,
-    G22 = 1 + sum N(r2_j) over r2's, and G12 = sum r1_j r2_j^q over the
-    tail, so each is a broadcast field sum over the slice's free digits."""
-    Q = ctx.order
-    add = ctx.add_table.astype(np.intp)
-    nrm = ctx.norm_table.astype(np.intp)
-    dot = ctx.mul_table[:, ctx.frob_table].astype(np.intp)  # x y^q
-
-    def fsum(terms, start):
-        # the partial sums grow one axis at a time
-        return functools.reduce(lambda x, y: add[x, y], terms, start)
-
-    for _, _, mid, tail, d in _dual_line_digits(n, Q):
-        m, t = len(mid), len(tail)
-        r1, r2 = d[: m + t], d[m + t :]
-        g11 = fsum((nrm[x] for x in r1), 1)
-        g22 = fsum((nrm[y] for y in r2), 1)
-        g12 = fsum((dot[x, y] for x, y in zip(r1[m:], r2)), 0)
-        key = g11 * (Q * Q) + (g12 * Q + g22)
-        yield np.ravel(key)  # g11 and g22 span every free digit
 
 
 def hyperplane_tangency(n, q):
@@ -462,104 +433,62 @@ class PencilScanReport:
     best_is_formula_max: bool
     best_structures: dict
     tangent_members_by_section: dict
-    stages: dict  # the Gram pass's time and work counts, not serialized
 
     def to_json_dict(self):
         return _json_fields(self, "pencil_scan")
 
 
-def pencil_triples_scan(n, q, budget=DEFAULT_POINT_BUDGET):
-    """Best triple within every pencil (three hyperplanes through a common
-    codimension-2 subspace), exhaustively over all such subspaces.
+def _unitary_order(m, q):
+    """|U(m, q^2)| = q^(m(m-1)/2) prod_{i<=m} (q^i - (-1)^i)."""
+    return q ** (m * (m - 1) // 2) * math.prod(q**i - (-1) ** i for i in range(1, m + 1))
 
-    This covers the stratum where the global maximum lives and stays
-    feasible where the full triple space does not (the pencil count grows
-    like N^2, not N^3).  Every pencil is one dual line, visited once by
-    dual_gram_keys; its dual Gram key fixes the axis's point count and the
-    number of tangent members (_pencil_kinds), so the pencils are counted
-    by key and the report is read from the key histogram.  The budget is
-    checked against the pencils visited.  The report's `stages` holds the
-    Gram pass's wall time and the counts of pencils, distinct keys and key
-    arrays (blocks, or slices of a block).
+
+def pencil_triples_scan(n, q):
+    """Best triple within every pencil (three hyperplanes through a common
+    codimension-2 subspace), over all such subspaces, in closed form.
+
+    This covers the stratum where the global maximum lives.  A pencil is a
+    dual line, and the rank of its 2 x 2 dual Gram matrix fixes its unitary
+    orbit (Witt's theorem).  The vertex of the axis's section is the axis's
+    meet with its polar line, of vector dimension 2 - rank, and a member is
+    tangent iff it is an isotropic point of the line, so each orbit has one
+    axis count (cone_counts) and one number of tangent members:
+
+      rank 2: L2 = |U(n+1)| / (|U(2)| |U(n-1)|) pencils, axis U, q + 1;
+      rank 0: L0 = TI(n+1, 2) totally isotropic lines, axis Pi1U, q^2 + 1;
+      rank 1: the other L1 lines, axis Pi0U, 1 tangent member.
+
+    Every member contains the axis, so a pencil's best triple is its three
+    largest member section counts less twice the axis count.  All counts
+    are Python ints; no dual line is visited.
     """
-    mf = max_cubic_intersection(n, q)  # refuses n < 4 before any work
-    ctx = make_field(q)
-    Q = ctx.order
+    mf = max_cubic_intersection(n, q)  # refuses n < 4
+    Q = q * q
     pencils = gaussian_binomial(n + 1, 2, Q)
-    if pencils > budget:
-        raise BudgetExceeded(pencils, budget, what="pencils")
-    t0 = time.time()
-    hist = np.zeros(Q**3, dtype=np.int64)
-    blocks = 0
-    for keys in dual_gram_keys(n, ctx):
-        hist += np.bincount(keys, minlength=len(hist))
-        blocks += 1
-    keys = np.flatnonzero(hist)
-    weight = hist[keys]
-    assert int(weight.sum()) == pencils, "the Gram pass missed a dual line"
-    plane_count, tmem = _pencil_kinds(keys, n, ctx)
-    # S takes one value on tangent and one on non-tangent hyperplanes, so a
-    # pencil's best triple takes as many members of the larger kind as it
-    # has, up to 3
+    nd = _unitary_order(n + 1, q) // (_unitary_order(2, q) * _unitary_order(n - 1, q))
+    ti = math.prod(q**j - (-1) ** j for j in range(n - 2, n + 2)) // ((Q - 1) * (Q * Q - 1))
+    u, cone0, cone1 = cone_counts(n, q)
     s_tan, s_non = hyperplane_section_counts(n, q)
-    larger = tmem if s_tan > s_non else Q + 1 - tmem
-    top3 = 3 * min(s_tan, s_non) + abs(s_tan - s_non) * np.minimum(larger, 3)
-    best_per_key = top3 - 2 * plane_count
-    best = int(best_per_key.max())
-    is_best = best_per_key == best
-    stages = dict(gram_s=time.time() - t0, pencils=pencils, keys=len(keys), blocks=blocks)
+    profile, best_of = {}, {}
+    for shape, count, axis, t in (
+        ("U", nd, u, q + 1),
+        ("Pi0U", pencils - nd - ti, cone0, 1),
+        ("Pi1U", ti, cone1, Q + 1),
+    ):
+        key = f"{shape}|tangent_members={t}"
+        profile[key] = count
+        best_of[key] = sum(sorted([s_tan] * t + [s_non] * (Q + 1 - t))[-3:]) - 2 * axis
+    best = max(best_of.values())
     return PencilScanReport(
         n=n,
         q=q,
         pencils=pencils,
         best_count=best,
         max_formula_value=mf,
-        best_is_formula_max=bool(best == mf),
-        best_structures=_section_profile(
-            plane_count[is_best], tmem[is_best], n, q, weight[is_best]
-        ),
-        tangent_members_by_section=_section_profile(plane_count, tmem, n, q, weight),
-        stages=stages,
+        best_is_formula_max=best == mf,
+        best_structures={key: profile[key] for key in profile if best_of[key] == best},
+        tangent_members_by_section=profile,
     )
-
-
-def _pencil_kinds(keys, n, ctx):
-    """Points of U_n on the axis, and the number of tangent members, of the
-    pencils with the dual Gram keys `keys` (see dual_gram_keys).
-
-    The vertex of the axis's section is the axis's meet with its polar line,
-    whose points are the conjugates of the dual line's covectors, so it has
-    vector dimension 2 - rank G: ranks 2, 1 and 0 give the shapes U, Pi0U
-    and Pi1U of cone_counts.  A member a is tangent iff <a, a> = 0: G22 = 0
-    for member 0 (r2), and G11 + Tr(b G12^q) + N(b) G22 = 0 for member 1 + b
-    (r1 + b r2)."""
-    Q = ctx.order
-    add, mul = ctx.add_table, ctx.mul_table
-    g11, g12, g22 = keys // (Q * Q), keys // Q % Q, keys % Q
-    det = add[mul[g11, g22], ctx.neg_table[ctx.norm_table[g12]]]
-    rank = np.where(det != 0, 2, np.where((g11 | g12 | g22) != 0, 1, 0))
-    plane_count = np.array(cone_counts(n, ctx.q), dtype=np.int64)[2 - rank]
-    b = np.arange(Q)
-    cross = ctx.trace_table[mul[b, ctx.frob_table[g12][:, None]]]
-    forms = add[add[g11[:, None], cross], mul[ctx.norm_table[b], g22[:, None]]]
-    tmem = (g22 == 0) + np.count_nonzero(forms == 0, axis=1)
-    return plane_count, tmem
-
-
-def _section_profile(plane_count, tmem, n, q, weight=1):
-    """Pencils counted by section shape and number of tangent members, keyed
-    "<shape>|tangent_members=<t>"; entry i stands for weight[i] pencils, or
-    for one when weight is 1."""
-    u_count, cone0, cone1 = cone_counts(n, q)
-    label_of = {u_count: "U", cone0: "Pi0U", cone1: "Pi1U"}
-    width = q * q + 2  # tangent member counts run over 0 .. q^2+1
-    keys, inv = np.unique(plane_count * width + tmem, return_inverse=True)
-    sums = np.zeros(len(keys), dtype=np.int64)
-    np.add.at(sums, inv, weight)
-    return {
-        f"{label_of[key // width]}|tangent_members={key % width}": count
-        for key, count in zip(keys.tolist(), sums.tolist())
-    }
 
 
 # -- incidence double counting -------------------------------------------------

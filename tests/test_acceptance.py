@@ -5,9 +5,10 @@ pass/fail line; run with ``pytest tests/test_acceptance.py -v -s``.
 Criterion 5 includes the (n=4, q=2) anchor, where the extremal
 configuration cannot exist: a pencil over a non-degenerate codimension-2
 section has q^2-q non-tangent members, only 2 at q=2.  That sub-case asserts
-the obstruction instead of a count: the enumerated pencil scan finds no
-non-degenerate pencil with 3 non-tangent members and no pencil triple
-reaching 117, and ``build_extremal`` refuses with the named error
+the obstruction instead of a count: the enumeration of every pencil's dual
+Gram key finds no non-degenerate pencil with 3 non-tangent members and no
+pencil triple reaching 117, the closed-form pencil scan reports the same,
+and ``build_extremal`` refuses with the named error
 ``InsufficientPencilMembers``.
 """
 
@@ -48,10 +49,12 @@ from hermvar.projgeom import random_subspace, subspace_point_array
 from hermvar.search import (
     build_geometry,
     exhaustive_triples,
+    gaussian_binomial,
     incidence_double_count,
     pencil_triples_scan,
     random_cubic_sample,
 )
+from oracles import pencil_scan_enum
 
 WORKERS = min(2, os.cpu_count() or 1)
 
@@ -150,8 +153,11 @@ def test_criterion_5_extremal(n, q, want):
     members = q + 1 if n % 2 else q * q - q
     if members < 3:
         # the configuration cannot exist: check the obstruction by
-        # enumeration, then that the builder refuses by name
-        scan = pencil_triples_scan(n, q)
+        # enumeration of every pencil, then that the closed form agrees and
+        # that build_extremal refuses by name
+        scan = pencil_scan_enum(n, q)
+        assert scan.pencils == gaussian_binomial(n + 1, 2, q * q)
+        assert pencil_triples_scan(n, q) == scan
         nondeg = {
             int(key.split("=")[1]): pencils
             for key, pencils in scan.tangent_members_by_section.items()

@@ -34,7 +34,6 @@ from hermvar.projgeom import (
 )
 from hermvar.search import (
     build_geometry,
-    dual_gram_keys,
     dual_line_catalog,
     exhaustive_triples,
     gaussian_binomial,
@@ -45,7 +44,7 @@ from hermvar.search import (
     random_cubic_sample,
     report_json,
 )
-from oracles import axis_counts
+from oracles import _pencil_kinds, _section_profile, axis_counts, dual_gram_keys, pencil_scan_enum
 
 
 def test_gaussian_binomial():
@@ -370,14 +369,13 @@ def test_section_types_match_classify_section(n, q):
 
 def test_n_below_4_refused_before_geometry(monkeypatch, capsys):
     # the d = 3 maximum needs n >= 4: the searches refuse smaller n before
-    # building any geometry or Gram key, and the CLI exits 2
+    # building any geometry, and the CLI exits 2
     from hermvar import cli, search
 
     def no_geometry(*args, **kwargs):
         raise AssertionError("geometry built for n < 4")
 
     monkeypatch.setattr(search, "build_geometry", no_geometry)
-    monkeypatch.setattr(search, "dual_gram_keys", no_geometry)
     with pytest.raises(OutOfRange):
         exhaustive_triples(3, 2)
     with pytest.raises(OutOfRange):
@@ -412,8 +410,6 @@ def test_pencil_scan_matches_sorted_members(n, q):
     # each pencil's best triple from its three largest member section
     # counts; tangent hyperplanes cut more points than the others at (5,2)
     # and fewer at (4,2) and (4,3)
-    from hermvar.search import _section_profile
-
     geo = build_geometry(n, q)
     plane_count = axis_counts(geo)
     top3 = np.sort(geo.S[geo.planes], axis=1)[:, -3:].sum(axis=1)
@@ -434,8 +430,6 @@ def test_gram_keys_match_popcounts_row_for_row(n, q):
     # the Gram pass's keys, in catalog order, give every pencil's axis count
     # and tangent members exactly as the incidence popcounts and the
     # hyperplane classification do
-    from hermvar.search import _pencil_kinds
-
     ctx = make_field(q)
     geo = build_geometry(n, q)
     keys = np.concatenate(list(dual_gram_keys(n, ctx)))
@@ -448,7 +442,8 @@ def test_gram_keys_match_popcounts_row_for_row(n, q):
 
 @pytest.mark.parametrize("n,q", [(4, 3), (5, 2), (3, 4)])
 def test_gram_key_slices_cover_the_catalog_in_order(n, q, monkeypatch):
-    # slices that fix leading free digits concatenate to the unsliced keys,
+    # slices that fix leading free digits concatenate to the unsliced keys
+    # (the oracle's Gram pass reads _LINE_SLICE through _dual_line_digits),
     # and the catalog built slice by slice is the unsliced one
     from hermvar import search
 
@@ -501,45 +496,77 @@ def unitary_order(m, q):
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def scan(n, q):
-    return pencil_triples_scan(n, q)
-
-
 def test_pencil_scan_reaches_4_4():
     # beyond the N^2 incidence budget the old scan refused
-    rep = scan(4, 4)
+    rep = pencil_triples_scan(4, 4)
     assert rep.pencils == gaussian_binomial(5, 2, 16) == 17_965_585
     assert rep.best_count == max_cubic_intersection(4, 4) == 3185
     assert rep.best_is_formula_max
 
 
-@pytest.mark.parametrize(
-    "n,q,nd", [(4, 2, 3520), (4, 3, 444_690), (5, 2, 59_136), (4, 4, 14_274_560)]
-)
+# the closed-form identities' grid, and the non-degenerate pencils the
+# enumerated scans counted where they reach
+CENSUS_GRID = [(n, q) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13) for n in range(4, 9)]
+ND_ENUMERATED = {(4, 2): 3520, (4, 3): 444_690, (5, 2): 59_136, (4, 4): 14_274_560}
+
+
+def nondegenerate_lines(n, q):
+    return unitary_order(n + 1, q) // (unitary_order(2, q) * unitary_order(n - 1, q))
+
+
+@pytest.mark.parametrize("n,q,nd", [(n, q, nondegenerate_lines(n, q)) for n, q in CENSUS_GRID])
 def test_nondegenerate_pencils_match_unitary_orbit(n, q, nd):
     # the pencils whose axis meets U_n in a non-degenerate variety, which
     # carry q + 1 tangent members, number |U(n+1)| / (|U(2)| |U(n-1)|)
-    assert nd == unitary_order(n + 1, q) // (unitary_order(2, q) * unitary_order(n - 1, q))
-    profile = scan(n, q).tangent_members_by_section
+    assert nd == ND_ENUMERATED.get((n, q), nd)
+    profile = pencil_triples_scan(n, q).tangent_members_by_section
     assert profile[f"U|tangent_members={q + 1}"] == nd
     assert [k for k in profile if k.startswith("U|")] == [f"U|tangent_members={q + 1}"]
 
 
-def test_pencil_scan_budget_counts_pencils(monkeypatch):
-    # the budget is checked against the pencils the scan would visit, before
-    # any Gram key is computed: 1.4e10 at (4,7)
+@pytest.mark.parametrize("n,q", CENSUS_GRID)
+def test_pencil_census_double_counts(n, q):
+    # incidences counted from both sides, with no orbit formula: every dual
+    # line once; each tangent hyperplane, one per point of U_n, is a member
+    # of the pencils of the dual lines through it, num_points(n - 1) of
+    # them; each point of U_n lies on the axes of [n choose 2]_{q^2} pencils
+    rep = pencil_triples_scan(n, q)
+    axis_of = dict(zip(("U", "Pi0U", "Pi1U"), cone_counts(n, q)))
+    classes = []
+    for key, pencils in rep.tangent_members_by_section.items():
+        shape, tangent = key.split("|tangent_members=")
+        classes.append((pencils, axis_of[shape], int(tangent)))
+    u_n = nondegenerate_count(n, q)
+    assert rep.pencils == gaussian_binomial(n + 1, 2, q * q)
+    assert sum(c for c, _, _ in classes) == rep.pencils
+    assert sum(c * t for c, _, t in classes) == u_n * num_points(n - 1, q)
+    assert sum(c * a for c, a, _ in classes) == u_n * gaussian_binomial(n, 2, q * q)
+    assert rep.best_is_formula_max == (not (n % 2 == 0 and q == 2))
+
+
+@pytest.mark.parametrize("n,q", [(4, 2), (5, 2), (4, 3), (4, 4)])
+def test_pencil_scan_matches_enumeration(n, q):
+    # the closed-form report equals the one read from every dual line's
+    # Gram key
+    assert pencil_triples_scan(n, q) == pencil_scan_enum(n, q)
+
+
+def test_pencil_scan_visits_no_dual_line(monkeypatch):
+    # the report needs no dual line, so it reaches (4,7), 1.4e10 pencils,
+    # and (8,7), 4.7e23
     from hermvar import search
 
-    def no_keys(*args, **kwargs):
-        raise AssertionError("a Gram block was computed")
+    def no_lines(*args, **kwargs):
+        raise AssertionError("a dual line was built")
 
-    monkeypatch.setattr(search, "dual_gram_keys", no_keys)
-    with pytest.raises(BudgetExceeded) as exc:
-        pencil_triples_scan(4, 7)
-    assert exc.value.needed == gaussian_binomial(5, 2, 49) == 14_135_532_202
-    with pytest.raises(BudgetExceeded):
-        pencil_triples_scan(4, 3, budget=605_241)
+    monkeypatch.setattr(search, "_dual_line_digits", no_lines)
+    rep = pencil_triples_scan(4, 7)
+    assert rep.pencils == gaussian_binomial(5, 2, 49) == 14_135_532_202
+    assert rep.best_count == max_cubic_intersection(4, 7) == 50_912
+    rep = pencil_triples_scan(8, 7)
+    assert rep.pencils == gaussian_binomial(9, 2, 49)
+    assert rep.best_count == max_cubic_intersection(8, 7) == 292_685_890_512
+    assert rep.best_is_formula_max
 
 
 # SHA-256 of the report JSON, unchanged since the scan read build_geometry
@@ -551,14 +578,8 @@ SCAN_DIGESTS = {
 
 
 @pytest.mark.parametrize("n,q", sorted(SCAN_DIGESTS))
-def test_pencil_scan_stages_and_json(n, q):
-    rep = scan(n, q)
-    stages = rep.stages
-    assert stages["pencils"] == rep.pencils
-    assert stages["blocks"] >= math.comb(n + 1, 2) and stages["gram_s"] >= 0
-    assert stages["keys"] <= q * q**2 * q  # G11, G22 in F_q, G12 in F_{q^2}
-    assert "stages" not in rep.to_json_dict()
-    text = report_json(rep)
+def test_pencil_scan_json(n, q):
+    text = report_json(pencil_triples_scan(n, q))
     assert hashlib.sha256(text.encode()).hexdigest() == SCAN_DIGESTS[n, q]
 
 
