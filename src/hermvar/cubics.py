@@ -165,27 +165,35 @@ def evaluate_poly(C, coords, ctx):
 
 
 def _horner(terms, cols, ctx):
-    """Values of sum(c * x^exp) over the (exp, c) terms, all of one positive
-    degree, with cols[i] holding x_i at each point.
+    """Values of sum(c * x^exp) over the (exp, c) terms, with cols[i]
+    holding x_i at each point; for the broadcastable columns of a grid the
+    values come as an array that broadcasts to the grid.
 
-    Above degree 1 the terms are grouped by their first variable x_i and the
-    sum is x_i * (that group with one x_i removed), so a shared prefix is
-    multiplied once; degree-1 terms are a linear form."""
-    acc = None
-    if sum(terms[0][0]) == 1:
-        for exp, c in terms:
-            col = cols[exp.index(1)]
-            t = col if c == 1 else ctx.vscale(c, col)
-            acc = t if acc is None else ctx.vadd(acc, t)
-        return acc
-    groups = {}
+    Terms are grouped by their first variable x_i and each group is
+    x_i * (that group with one x_i removed), so a shared prefix is
+    multiplied once; a group whose rest is a constant c is c * x_i.  The
+    constant terms are added last; a sum of constants alone is a Python
+    int."""
+    const, groups = 0, {}
     for exp, c in terms:
-        i = next(k for k, e in enumerate(exp) if e)
-        groups.setdefault(i, []).append((exp[:i] + (exp[i] - 1,) + exp[i + 1 :], c))
+        i = next((k for k, e in enumerate(exp) if e), None)
+        if i is None:
+            const = ctx.add(const, c)
+        else:
+            groups.setdefault(i, []).append((exp[:i] + (exp[i] - 1,) + exp[i + 1 :], c))
+    acc = None
     for i, sub in groups.items():
-        t = ctx.vmul(cols[i], _horner(sub, cols, ctx))
+        h = _horner(sub, cols, ctx)
+        if isinstance(h, int):
+            if not h:
+                continue
+            t = cols[i] if h == 1 else ctx.vscale(h, cols[i])
+        else:
+            t = ctx.vmul(cols[i], h)
         acc = t if acc is None else ctx.vadd(acc, t)
-    return acc
+    if acc is None:
+        return const
+    return ctx.vadd(acc, const) if const else acc
 
 
 def eval_poly_at(C, pts, ctx):
@@ -193,8 +201,9 @@ def eval_poly_at(C, pts, ctx):
     evaluated by shared prefixes (a dense quinary cubic costs 20 vmul,
     35 vscale and 34 vadd): the per-point oracle, which the enumerations of
     lines, planes and hyperplanes call.  intersect_count_enum does not call
-    it: it evaluates C's parts C_k at the prefixes and tests a form key's
-    zeros together with one gather of a lam table (see _top_table)."""
+    it: it passes C's parts C_k and the broadcastable columns of a prefix
+    grid to the same _horner, and tests a form key's zeros together with
+    one gather of a lam table (see _top_table)."""
     cols = [np.ascontiguousarray(pts[:, i]) for i in range(C.n + 1)]
     return _horner(C.monomials, cols, ctx)
 
@@ -255,15 +264,33 @@ def _top_table(top, d, ctx, lam=None):
     return add[hi[:, :, None], lo[:, None, :]].reshape(len(lam), Q * Q)
 
 
+def _substitute(terms, fixed, ctx):
+    """The (exp, c) terms with x_j = fixed[j] put in for each j of the dict
+    fixed, as a list of terms with distinct exponents and nonzero
+    coefficients."""
+    out = {}
+    for exp, c in terms:
+        for j, v in fixed.items():
+            if exp[j]:
+                c = ctx.mul(c, ctx.pow(v, exp[j]))
+                exp = exp[:j] + (0,) + exp[j + 1 :]
+        _accumulate(out, [(exp, c)], ctx)
+    return list(out.items())
+
+
 def intersect_count_enum(C, f, budget=DEFAULT_POINT_BUDGET):
     """|V(C) meet V(f)| by reading the form's value at every point of P^n
     from form_scan's table (which checks the budget) and evaluating C at
     each of its zeros, in one process and without a point array.
 
-    C = sum_k x_n^k C_k(x_0 .. x_{n-1}), each C_k evaluated by shared
-    prefixes once per prefix of a chunk.  A chunk's prefixes are sorted by
-    form key, and all prefixes of one key share its zeros lam, a row of
-    form_scan's table.  C at (p, lam) is TT[lam, w(p)] + R(p, lam), with TT
+    C = sum_k x_n^k C_k(x_0 .. x_{n-1}).  form_scan yields the prefixes as
+    grids of broadcastable columns; each C_k, with the grid's constant
+    columns (the zeros before the pivot, the pivot's 1, a lone run's leading
+    digits) put in (_substitute), is evaluated by _horner on the columns, so
+    its terms in the last coordinates are summed on sub-grids before they
+    are spread over the grid.  A grid's prefixes are sorted by form key, and
+    all prefixes of one key share its zeros lam, a row of form_scan's
+    table.  C at (p, lam) is TT[lam, w(p)] + R(p, lam), with TT
     from _top_table, w = C_{d-1} * Q + C_{d-2} and R = sum_{k<d-2} lam^k
     C_k(p) (C_0 at d = 3, 0 below), so a key's group of prefixes is tested
     at its zeros with one (zeros x prefixes) gather of TT.  e_n is a zero
@@ -279,15 +306,17 @@ def intersect_count_enum(C, f, budget=DEFAULT_POINT_BUDGET):
     zl, lams = np.nonzero(T == 0)  # each key's zeros, keys ascending
     bounds = np.searchsorted(zl, np.arange(Q * Q + 1))
     count = int(f.matrix[n][n] == 0 and top == 0)
-    for pre, key in chunks:
-        order = np.argsort(key, kind="stable")
-        cols = [np.ascontiguousarray(pre[order, j]) for j in range(n)]
-        zero = np.zeros(len(pre), dtype=np.uint8)
-        Ck = [_horner(parts[k], cols, ctx) if k in parts else zero for k in range(d)]
-        w = Ck[d - 1].astype(np.intp) * Q
-        if d >= 2:
-            w += Ck[d - 2]
-        key = key[order]
+    for cols, key in chunks:
+        order = np.argsort(key.ravel(), kind="stable")
+
+        def on_grid(a):  # a grid array, in the sorted prefix order
+            return np.broadcast_to(a, key.shape).ravel()[order]
+
+        fixed = {j: int(c.item()) for j, c in enumerate(cols) if c.size == 1}
+        Ck = [_horner(_substitute(parts.get(k, ()), fixed, ctx), cols, ctx) for k in range(d)]
+        w = on_grid(np.asarray(Ck[d - 1], dtype=np.intp) * Q + (Ck[d - 2] if d >= 2 else 0))
+        Ck = [on_grid(c) for c in Ck[: max(d - 2, 0)]]
+        key = key.ravel()[order]
         cuts = np.flatnonzero(key[1:] != key[:-1]) + 1
         for s, e in zip(np.r_[0, cuts], np.r_[cuts, len(key)]):
             k = int(key[s])
@@ -295,7 +324,7 @@ def intersect_count_enum(C, f, budget=DEFAULT_POINT_BUDGET):
             if not len(z):
                 continue
             zc = z[:, None]
-            R = Ck[d - 3][s:e] if d >= 3 else zero[s:e]
+            R = Ck[d - 3][s:e] if d >= 3 else 0
             for j in range(d - 4, -1, -1):
                 R = ctx.add_table[ctx.mul_table[zc, R], Ck[j][s:e]]
             count += int(np.count_nonzero(TT[zc, w[s:e]] == ctx.neg_table[R]))

@@ -77,6 +77,15 @@ class FieldCtx:
         self.order = q * q
         self._build_tables(2 * self.e)
         self._check_invariants()
+        # the scalar operations read these Python lists of the tables: a list
+        # lookup gives a Python int several times faster than a numpy scalar
+        # lookup, and the pure-Python linear algebra makes one per entry
+        self._add, self._mul, self._neg, self._inv = (
+            t.tolist() for t in (self.add_table, self.mul_table, self.neg_table, self.inv_table)
+        )
+        self._frob, self._norm, self._trace = (
+            t.tolist() for t in (self.frob_table, self.norm_table, self.trace_table)
+        )
 
     def _build_tables(self, m):
         p, Q = self.p, self.order
@@ -116,7 +125,7 @@ class FieldCtx:
         exp = np.array(exp, dtype=np.int64)
         log = np.zeros(Q, dtype=np.int64)
         log[exp] = np.arange(Q - 1)
-        self._exp, self._log = exp, log
+        self._exp, self._log = exp.tolist(), log.tolist()  # for pow
         nz = np.arange(1, Q)
 
         inv = np.zeros(Q, dtype=np.uint8)
@@ -163,37 +172,37 @@ class FieldCtx:
     # -- scalar operations ------------------------------------------------
 
     def add(self, a, b):
-        return int(self.add_table[a, b])
+        return self._add[a][b]
 
     def sub(self, a, b):
-        return int(self.add_table[a, self.neg_table[b]])
+        return self._add[a][self._neg[b]]
 
     def mul(self, a, b):
-        return int(self.mul_table[a, b])
+        return self._mul[a][b]
 
     def neg(self, a):
-        return int(self.neg_table[a])
+        return self._neg[a]
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return int(self.inv_table[a])
+        return self._inv[a]
 
     def frobenius(self, a):
-        return int(self.frob_table[a])
+        return self._frob[a]
 
     def norm(self, a):
-        return int(self.norm_table[a])
+        return self._norm[a]
 
     def trace(self, a):
-        return int(self.trace_table[a])
+        return self._trace[a]
 
     def pow(self, a, k):
         if k == 0:
             return 1
         if a == 0:
             return 0
-        return int(self._exp[(k * int(self._log[a])) % (self.order - 1)])
+        return self._exp[(k * self._log[a]) % (self.order - 1)]
 
     def dot(self, u, v):
         """Plain bilinear dot product sum(u_i v_i), no conjugation."""

@@ -24,7 +24,7 @@ from .projgeom import (
     matrix_rank,
     normalize_rows,
     num_points,
-    point_rows,
+    point_grids,
     rref,
 )
 
@@ -216,40 +216,43 @@ def section_count(stype, q):
 
 
 def eval_form_at(f, pts):
-    """Values of the form at each row of a point-index array (vectorized)."""
-    ctx = f.ctx
-    H = f.matrix
-    n1 = f.n + 1
-    diagonal = all(H[i][j] == 0 for i in range(n1) for j in range(n1) if i != j)
-    if diagonal:
-        acc = None
-        for i in range(n1):
-            d = H[i][i]
-            if d == 0:
-                continue
-            t = ctx.vnorm(pts[:, i])
-            if d != 1:
-                t = ctx.vscale(d, t)
-            acc = t if acc is None else ctx.vadd(acc, t)
-        return acc
-    # p . (H p^(q)), with H p^(q) the product _polar_covectors makes
-    polar = combine_rows(ctx.vfrob(pts), list(zip(*H)), ctx)
-    return functools.reduce(ctx.vadd, ctx.vmul(pts, polar).T)
+    """Values of the form at each row of a point-index array, or at every
+    point of the grid that a sequence of n + 1 broadcastable coordinate
+    columns spans (vectorized), there as an array that broadcasts to the
+    grid: sum_i H_ii N(x_i) + sum_{i<j} Tr(x_i H_ij x_j^q), skipping zero
+    coefficients.  The terms are added smallest first, so that on a grid
+    the sum takes the grid's full shape as late as it can."""
+    ctx, H = f.ctx, f.matrix
+    cols = pts.T if isinstance(pts, np.ndarray) else pts
+    terms = []
+    for i, x in enumerate(cols):
+        if H[i][i]:
+            t = ctx.vnorm(x)
+            terms.append(t if H[i][i] == 1 else ctx.vscale(H[i][i], t))
+        for j in range(i + 1, f.n + 1):
+            if H[i][j]:
+                t = ctx.vmul(x, ctx.vscale(H[i][j], ctx.vfrob(cols[j])))
+                terms.append(ctx.trace_table.take(t))
+    if not terms:
+        return np.zeros(np.broadcast_shapes(*(np.shape(x) for x in cols)), dtype=np.uint8)
+    return functools.reduce(ctx.vadd, sorted(terms, key=np.size))
 
 
 def form_scan(f, budget=DEFAULT_POINT_BUDGET):
     """The form at every point of P^n but e_n, without a point array, as
     (T, chunks); the budget on N is checked first, at the call.
 
-    Every point but e_n is a prefix p, a row of point_array(n - 1), followed
-    by a last coordinate lam, and its rank is rank(p) * Q + lam.  There the
-    form is A(p) + Tr(lam b(p)) + h N(lam), with A(p) its value at (p, 0),
+    Every point but e_n is a prefix p, a point of P^(n-1), followed by a
+    last coordinate lam, and its rank is rank(p) * Q + lam.  There the form
+    is A(p) + Tr(lam b(p)) + h N(lam), with A(p) its value at (p, 0),
     b(p) = sum_{j<n} H[n][j] p_j^q and h = H[n][n], so it depends on p only
     through the key A(p) * Q + b(p): T is the (Q^2, Q) table with
     T[key, lam] the value at (p, lam) for every prefix p of that key.
-    chunks yields (pre, key), ceil(_CHUNK / Q) prefixes at a time, key the
-    uint16 key of each row of pre; T[key].ravel() follows the canonical
-    point order.  The value at e_n is h."""
+    chunks yields (cols, key) for the prefixes grid by grid: cols the n
+    broadcastable columns of a projgeom.point_grids grid of at most
+    ceil(_CHUNK / Q) prefixes, key the uint16 key at each prefix, an array
+    of the grid's shape; T[key].ravel() follows the canonical point order.
+    The value at e_n is h."""
     ctx, n = f.ctx, f.n
     Q = ctx.order
     N = num_points(n, ctx.q)
@@ -263,15 +266,18 @@ def form_scan(f, budget=DEFAULT_POINT_BUDGET):
 
 
 def _form_keys(f):
-    """form_scan's chunks: (pre, key) with key = A(pre) * Q + b(pre)."""
+    """form_scan's chunks: (cols, key) with key = A * Q + b on the grid,
+    A from eval_form_at at x_n = 0."""
     ctx, n = f.ctx, f.n
-    M = num_points(n - 1, ctx.q)
-    chunk = -(-_CHUNK // ctx.order)
-    for a in range(0, M, chunk):
-        pre = point_rows(n - 1, ctx, a, min(a + chunk, M))
-        A = eval_form_at(f, np.pad(pre, ((0, 0), (0, 1))))
-        b = combine_rows(ctx.vfrob(pre), [[c] for c in f.matrix[n][:n]], ctx)[:, 0]
-        yield pre, A.astype(np.uint16) * ctx.order + b
+    zero = np.zeros(1, dtype=np.uint8)
+    for cols in point_grids(n - 1, ctx, -(-_CHUNK // ctx.order)):
+        b = zero
+        for j, c in enumerate(f.matrix[n][:n]):
+            if c:
+                b = ctx.vadd(b, ctx.vscale(c, ctx.vfrob(cols[j])))
+        key = eval_form_at(f, cols + [zero]).astype(np.uint16) * ctx.order + b
+        shape = np.broadcast_shapes(*(x.shape for x in cols))
+        yield cols, np.ascontiguousarray(np.broadcast_to(key, shape))
 
 
 def variety_mask(f, budget=DEFAULT_POINT_BUDGET):

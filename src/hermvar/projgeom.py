@@ -125,20 +125,48 @@ def point_array(n, ctx):
     return arr
 
 
+def _grid_columns(n, Q, k, s, r0, r1):
+    """Runs r0 .. r1 - 1 of Q^s points each of pivot block k of P^n, as
+    n + 1 uint8 columns that broadcast to the (r1 - r0, Q, ..., Q) grid of
+    s Q-axes whose C order is the points' order: 0 before the pivot, 1 at
+    it, the run number's base-Q digits on the runs axis, and np.arange(Q) on
+    the axis of each of the last s coordinates."""
+    one = (1,) * (s + 1)
+    cols = [np.zeros(one, dtype=np.uint8)] * k + [np.ones(one, dtype=np.uint8)]
+    run = np.arange(r0, r1)
+    lead = []
+    for _ in range(n - s - k):
+        lead.append((run % Q).astype(np.uint8).reshape((-1,) + (1,) * s))
+        run //= Q
+    digits = np.arange(Q, dtype=np.uint8)
+    return cols + lead[::-1] + [digits.reshape((Q,) + (1,) * i) for i in range(s - 1, -1, -1)]
+
+
+def point_grids(n, ctx, size):
+    """P^n in point_array order as broadcast grids of at most `size` points
+    each (size >= 1), none across a pivot block: yields the n + 1 columns
+    of _grid_columns.  Block k is cut into whole runs of Q^s points, s as
+    large as size and the block allow, size // Q^s runs to a grid."""
+    Q = ctx.order
+    for k in range(n + 1):
+        s = next(s for s in range(n - k, -1, -1) if Q**s <= size)
+        runs, step = Q ** (n - k - s), size // Q**s
+        for r0 in range(0, runs, step):
+            yield _grid_columns(n, Q, k, s, r0, min(r0 + step, runs))
+
+
 def point_rows(n, ctx, a, b):
     """Rows a .. b-1 of point_array(n, ctx), built without the whole array
     and not cached.
 
-    In pivot block k a row is 1 at k, then the block offset's n - k base-Q
-    digits.  The range's part of the block is covered by whole runs of
-    Q^s rows, s as large as the part allows, so at most Q + 1 runs.  As in
-    search._dual_line_digits, a run fixes its leading digits, the run
-    number's, written once per run; its s low digits are np.arange(Q)
-    broadcast over one axis each of the (runs, Q, ..., Q) grid.  The part
-    is then sliced out of the runs: no digit is divided out per row."""
+    The range's part of pivot block k is covered by whole runs of Q^s rows,
+    s as large as the part allows, so at most Q + 1 runs.  As in
+    search._dual_line_digits, a run's leading digits are written once per
+    run; the columns of _grid_columns are written into one (runs, Q, ..., Q)
+    grid, and the part is then sliced out of the runs: no digit is divided
+    out per row."""
     Q = ctx.order
     offs = _rank_offsets(n, Q)
-    digits = np.arange(Q, dtype=np.uint8)
     parts = []
     for k in range(n + 1):
         t0, t1 = max(a, offs[k]) - offs[k], min(b, offs[k + 1]) - offs[k]
@@ -148,13 +176,9 @@ def point_rows(n, ctx, a, b):
         R = Q**s
         r0, r1 = t0 // R, -(-t1 // R)
         grid = np.zeros((r1 - r0,) + (Q,) * s + (n + 1,), dtype=np.uint8)
-        grid[..., k] = 1
-        for i in range(s):
-            grid[..., n - i] = digits.reshape((Q,) + (1,) * i)
-        run = np.arange(r0, r1)
-        for j in range(n - s, k, -1):
-            grid[..., j] = (run % Q).reshape((-1,) + (1,) * s)
-            run //= Q
+        for j, col in enumerate(_grid_columns(n, Q, k, s, r0, r1)):
+            if j >= k:
+                grid[..., j] = col
         parts.append(grid.reshape(-1, n + 1)[t0 - r0 * R : t1 - r0 * R])
     if len(parts) == 1:
         return parts[0]

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 from unittest import mock
@@ -178,15 +179,18 @@ def test_intersect_count_enum_matches_scalar_scan(n, q, rank):
 
 
 def test_enum_scans_match_scalar_across_chunks(monkeypatch):
-    # _CHUNK = 100 makes chunks of ceil(100 / 9) = 12 prefixes: 8 chunks over
-    # the 91 prefixes of P^2(F_9), two of them crossing a pivot block (the
-    # blocks start at prefixes 81 and 90), for the 820 points of P^3(F_9)
-    # and the form's 280 zeros
-    monkeypatch.setattr("hermvar.hermitian._CHUNK", 100)
+    # _CHUNK = 200 makes grids of at most ceil(200 / 9) = 23 prefixes, whole
+    # runs of 9 that never cross a pivot block: of the 91 prefixes of
+    # P^2(F_9), block 0's 81 in four grids of two runs and one of one, then
+    # block 1's 9 and block 2's one, for the 820 points of P^3(F_9) and the
+    # form's 280 zeros; most keys' prefixes are spread over several grids
+    monkeypatch.setattr("hermvar.hermitian._CHUNK", 200)
     ctx = make_field(3)
     f = standard_form(3, ctx)
-    _, chunks = form_scan(f)
-    assert [len(pre) for pre, _ in chunks] == [12] * 7 + [7]
+    keys = [key for _, key in form_scan(f)[1]]
+    assert [key.shape for key in keys] == [(2, 9)] * 4 + [(1, 9)] * 2 + [(1,)]
+    grids_of = collections.Counter(k for key in keys for k in set(key.ravel().tolist()))
+    assert sum(c > 1 for c in grids_of.values()) >= 2
     rng = np.random.default_rng(7)
     points = [P for P in enumerate_points(3, ctx) if evaluate(f, P) == 0]
     assert count_points_enum(f) == len(points) == nondegenerate_count(3, 3)
@@ -260,8 +264,8 @@ def test_keyed_oracles_match_scalar_loops(case):
 
 
 def test_enum_oracles_never_build_the_point_array(monkeypatch):
-    # the oracles scan P^n as prefixes x last coordinate: with point_array
-    # unavailable and point_rows refused P^n itself they give the same counts
+    # the oracles scan P^n as prefix grids x last coordinate: with point_array
+    # and point_rows both unavailable they give the same counts
     ctx = make_field(3)
     rng = np.random.default_rng(11)
     forms = [standard_form(4, ctx), general_form(4, ctx, rng)]
@@ -273,15 +277,12 @@ def test_enum_oracles_never_build_the_point_array(monkeypatch):
     def no_scan(*args, **kwargs):
         raise AssertionError("an enumeration oracle built point_array")
 
-    point_rows = hermitian.point_rows
-
-    def prefix_rows(n, ctx, a, b):
-        assert n < 4, "an enumeration oracle built the rows of P^n"
-        return point_rows(n, ctx, a, b)
+    def no_rows(*args, **kwargs):
+        raise AssertionError("an enumeration oracle built point rows")
 
     for mod in (projgeom, hermitian, cubics_mod):
         monkeypatch.setattr(mod, "point_array", no_scan, raising=False)
-    monkeypatch.setattr(hermitian, "point_rows", prefix_rows)
+        monkeypatch.setattr(mod, "point_rows", no_rows, raising=False)
     got = [count_points_enum(f) for f in forms]
     got += [intersect_count_enum(C, f) for f in forms for C in polys]
     assert got == want

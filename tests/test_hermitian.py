@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hermvar import hermitian
 from hermvar.errors import BudgetExceeded, Degenerate, NotOnVariety, OutOfRange
 from hermvar.field import make_field
 from hermvar.hermitian import (
@@ -37,6 +38,7 @@ from hermvar.projgeom import (
     num_points,
     point_array,
     point_rank_array,
+    point_rows,
     random_subspace,
     subspace_from_rows,
     subspace_points,
@@ -261,14 +263,57 @@ def test_form_scan_table_is_the_form(n, q):
     for f in mask_test_forms(n, ctx, np.random.default_rng(7 * n + q)):
         T, chunks = form_scan(f)
         assert T.shape == (Q * Q, Q)
-        pre, key = (np.concatenate(a) for a in zip(*chunks))
-        assert key.dtype == np.uint16
+        pre, key = [], []
+        for cols, k in chunks:
+            assert len(cols) == n and k.dtype == np.uint16
+            assert np.broadcast_shapes(*(c.shape for c in cols)) == k.shape
+            pre.append(np.stack([c.ravel() for c in np.broadcast_arrays(*cols)], axis=1))
+            key.append(k.ravel())
+        pre, key = np.concatenate(pre), np.concatenate(key)
         assert np.array_equal(pts[:-1, :n], np.repeat(pre, Q, axis=0))
         lam = pts[:-1, n].reshape(-1, Q)
         assert np.array_equal(lam, np.broadcast_to(np.arange(Q), lam.shape))
         assert np.array_equal(T[key].ravel(), eval_form_at(f, pts[:-1])), f.matrix
         want = [evaluate(f, P) for P in enumerate_points(n, ctx)][:-1]
         assert T[key].ravel().tolist() == want, f.matrix
+
+
+@pytest.mark.parametrize(
+    "n,q,chunks",
+    [
+        (5, 2, (1, 4, 4 * 5, 4 * 17, 4 * 64, 1 << 20)),
+        (5, 3, (1, 9 * 10, 9 * 100, 9 * 800, 1 << 20)),
+        (3, 4, (1, 16 * 16, 16 * 40, 1 << 20)),
+        (4, 7, (49 * 49, 1 << 20)),
+    ],
+)
+def test_form_scan_grids_are_the_prefix_rows(n, q, chunks, monkeypatch):
+    # each chunk's broadcast columns, stacked, are the rows of P^(n-1) that
+    # point_rows gives for the chunk's range, chunk after chunk, and no
+    # chunk holds more than ceil(_CHUNK / Q) prefixes; the small _CHUNKs
+    # fix one or more leading coordinates of the first pivot blocks
+    ctx = make_field(q)
+    M = num_points(n - 1, q)
+    f = standard_form(n, ctx)
+    for chunk in chunks:
+        monkeypatch.setattr(hermitian, "_CHUNK", chunk)
+        cap = -(-chunk // ctx.order)
+        a, fixed = 0, 0
+        for cols, key in form_scan(f)[1]:
+            assert len(cols) == n and all(c.dtype == np.uint8 for c in cols)
+            assert np.broadcast_shapes(*(c.shape for c in cols)) == key.shape
+            assert 0 < key.size <= cap, (chunk, key.shape)
+            rows = np.stack([c.ravel() for c in np.broadcast_arrays(*cols)], axis=1)
+            assert np.array_equal(rows, point_rows(n - 1, ctx, a, a + key.size)), (chunk, a)
+            # the pivot k and the leading digits: the columns on the runs axis
+            k = next(j for j, c in enumerate(cols) if c.size == 1 and c.item() == 1)
+            fixed = max(fixed, sum(c.ndim == key.ndim for c in cols[k + 1 :]))
+            a += key.size
+        assert a == M
+        # the first block is Q^(n-1) prefixes: a grid of Q^s of them fixes
+        # n - 1 - s leading coordinates
+        Q = ctx.order
+        assert fixed >= (cap < Q ** (n - 1)) + (cap < Q ** (n - 2)), chunk
 
 
 @pytest.mark.parametrize(
