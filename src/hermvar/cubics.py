@@ -13,6 +13,7 @@ section-bound checker can exercise d = 2 as well; only the d = 3 maxima
 carry closed formulas.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -39,7 +40,6 @@ from .projgeom import (
     LinearSubspace,
     combine_rows,
     enumerate_hyperplanes,
-    enumerate_points,
     incidence_blocks,
     intersect_hyperplanes,
     normalize_rows,
@@ -48,7 +48,6 @@ from .projgeom import (
     pencil_through,
     point_array,
     point_rank_array,
-    rref,
     subspace_point_array,
 )
 
@@ -85,15 +84,17 @@ def make_hypersurface(coeffs, n, degree, ctx):
     return Hypersurface(tuple(items), n, degree)
 
 
+@functools.lru_cache(maxsize=None)
 def monomial_exponents(n, degree):
-    """All exponent tuples of the given degree, descending graded-lex."""
+    """All exponent tuples of the given degree, descending graded-lex, as a
+    tuple shared by every caller."""
     out = set()
     for combo in itertools.combinations_with_replacement(range(n + 1), degree):
         exp = [0] * (n + 1)
         for i in combo:
             exp[i] += 1
         out.add(tuple(exp))
-    return sorted(out, reverse=True)
+    return tuple(sorted(out, reverse=True))
 
 
 def random_hypersurface(n, degree, ctx, rng):
@@ -512,25 +513,29 @@ def divides_linear(covector, C, ctx):
     return not out
 
 
-def _probe_plane(C, ctx):
-    """A plane (2-dim subspace) on which C restricts to a nonzero form:
-    extend the first rational point where C does not vanish to a basis."""
-    n = C.n
-    base = None
-    for P in enumerate_points(n, ctx):
-        if evaluate_poly(C, P.coords, ctx) != 0:
-            base = P.coords
-            break
-    assert base is not None, "nonzero cubic cannot vanish at every point"
-    rows = [base]
-    for i in range(n + 1):
-        e = tuple(int(j == i) for j in range(n + 1))
-        cand, _ = rref(rows + [e], ctx)
-        if len(cand) > len(rows):
-            rows = list(cand)
-        if len(rows) == 3:
-            break
-    return tuple(rows)
+def _line_counts(zeros, ctx):
+    """Number of the points `zeros` (rows of point_array(2, ctx)) on each
+    line of P^2, in canonical line order.
+
+    Every line but the last, e_2, is (a_0, a_1, c) for a prefix (a_0, a_1),
+    a row of point_array(1, ctx), and c in index order, so line i has
+    prefix i // Q and c = i % Q.  One incidence_blocks pass gives the dot
+    values V of the Q + 1 prefixes with the zeros' first two coordinates.
+    A zero with z_2 != 0 lies on exactly one line of each prefix, at
+    c = -V / z_2, so those counts are one bincount; a zero with z_2 = 0
+    lies on every line of a prefix where V = 0 and on none of the others,
+    and on e_2."""
+    Q = ctx.order
+    z2 = zeros[:, 2]
+    off = z2 != 0
+    inv = ctx.inv_table[z2[off]]
+    hits, whole = [], np.zeros(Q + 1, dtype=np.int64)
+    for a, b, V in incidence_blocks(point_array(1, ctx), zeros[:, :2], ctx):
+        c = ctx.mul_table[ctx.neg_table[V[:, off]], inv]
+        hits.append((np.arange(a * Q, b * Q, Q)[:, None] + c).ravel())
+        whole[a:b] = np.count_nonzero(V[:, ~off] == 0, axis=1)
+    counts = np.bincount(np.concatenate(hits), minlength=Q * (Q + 1)) + np.repeat(whole, Q)
+    return np.append(counts, len(zeros) - np.count_nonzero(off))
 
 
 def _line_factors(R, ctx):
@@ -538,18 +543,19 @@ def _line_factors(R, ctx):
     linear form divides the ternary form R.
 
     Such a line carries q^2 + 1 zeros of R, so R is evaluated on all of P^2
-    once and every line is tested against its zeros only: a nonzero form of
-    degree d <= q^2 has at most d(q^2 + 1) of them (each line through a point
-    off V(R) meets V(R) at most d times).  Each line kept is confirmed
-    exactly by divides_linear."""
+    once and every line's zeros are counted from the Q + 1 line prefixes
+    (_line_counts): a nonzero form of degree d <= q^2 has at most
+    d(q^2 + 1) zeros (each line through a point off V(R) meets V(R) at most
+    d times), so fewer than q^2 + 1 leave no candidate.  A line that holds
+    q^2 + 1 zeros is kept; for a cubic nothing else is, since R restricted
+    to a line is a binary cubic, which has at most 3 roots unless it is
+    zero, while every line has q^2 + 1 >= 5 points.  Each line kept is
+    confirmed exactly by divides_linear."""
     pts = point_array(2, ctx)
     zeros = pts[eval_poly_at(R, pts, ctx) == 0]
     if len(zeros) < ctx.order + 1:
         return []
-    on_line = np.empty(len(pts), dtype=np.int64)
-    for a, b, block in incidence_blocks(pts, zeros, ctx):
-        on_line[a:b] = np.count_nonzero(block == 0, axis=1)
-    full = np.nonzero(on_line == ctx.order + 1)[0]
+    full = np.flatnonzero(_line_counts(zeros, ctx) == ctx.order + 1)
     covs = (tuple(int(x) for x in pts[i]) for i in full)
     return [L for L in covs if divides_linear(L, R, ctx)]
 
@@ -557,47 +563,49 @@ def _line_factors(R, ctx):
 def linear_factor(C, ctx):
     """First canonical hyperplane covector dividing C, or None.
 
-    Complete by a probe-plane argument: C does not vanish at the probe
-    plane's base point, so no linear factor L does, and L cuts the plane in
-    a line whose form must divide the restricted ternary form R.  So the
-    candidates are the hyperplanes whose trace on the plane is a line factor
-    of R, a finite and small family, and scanning them is an exact pruning
-    of the full covector scan.  When R has no linear factor, C has none.
+    Complete by a coordinate-plane argument.  Let Pi = span(e_a, e_b, e_c),
+    {a, b, c} the variables of the first monomial of C with at most three
+    of them, padded with the smallest unused indices.  C restricted to Pi,
+    the ternary form R, keeps C's monomials in x_a, x_b, x_c alone, so it is
+    a selection of C's terms and never zero: that first monomial survives
+    with its coefficient.  If L divides C, C = L G, then R = L|Pi G|Pi, so
+    L|Pi is nonzero and its line b = (L_a, L_b, L_c) divides R.  So every
+    linear factor of C is, up to a scalar, b placed at a, b, c with every
+    other coordinate free, for a line factor b of R: a finite and small
+    family, whatever plane is used, and scanning it in canonical order with
+    divides_linear, the final test of every candidate, returns the first
+    canonical divisor of C.  When R has no line factor, C has none.
 
-    The line factors of R are found in one vectorized pass: the lines of
-    P^2 on which R vanishes at every point are kept.  For a cubic nothing
-    else is kept: restricted to a line, R is a binary cubic,
-    which has at most 3 roots unless it is zero, while every line has
-    q^2 + 1 >= 5 points; so R vanishes on a whole line exactly when the
-    line's form divides R.  divides_linear still confirms each kept line,
-    and it is the final test of every candidate covector on C, in canonical
-    order.
+    The plane needs a monomial with at most three variables, which every
+    form of degree <= 3 has; a form with none (degree >= 4, for example
+    x_0 x_1 x_2 x_3) raises OutOfRange before any work, as does n < 3.
     """
     n = C.n
     if n < 3:
         raise OutOfRange("linear-factor search needs n >= 3")
-    basis = _probe_plane(C, ctx)
-    R = restrict_poly(C, basis, ctx)
-    assert R is not None  # the probe plane is chosen through a non-zero point
+    lead = next((e for e, _ in C.monomials if len(e) - e.count(0) <= 3), None)
+    if lead is None:
+        raise OutOfRange(
+            f"linear-factor search needs a monomial in at most three variables; "
+            f"this degree-{C.degree} form has none"
+        )
+    support = [i for i in range(n + 1) if lead[i]]
+    plane = sorted(support + [i for i in range(n + 1) if not lead[i]][: 3 - len(support)])
+    free = [i for i in range(n + 1) if i not in plane]
+    R = make_hypersurface(
+        {tuple(e[i] for i in plane): c for e, c in C.monomials if not any(e[i] for i in free)},
+        2,
+        C.degree,
+        ctx,
+    )
     line_factors = _line_factors(R, ctx)
     if not line_factors:
         return None
-    # the hyperplanes with trace b: the particular solution of B a^T = b plus
-    # every vector of the kernel of B, as coefficients (1, c) on the rows
-    # (part, kernel basis); none is zero, since b is not
-    kern = nullspace([list(r) for r in basis], ctx)
-    coeffs = np.indices((ctx.order,) * len(kern), dtype=np.uint8)
-    coeffs = coeffs.reshape(len(kern), -1).T
-    coeffs = np.hstack([np.ones((len(coeffs), 1), dtype=np.uint8), coeffs])
-    covs = []
-    for b in line_factors:
-        aug = [list(row) + [b[u]] for u, row in enumerate(basis)]
-        red, pivots = rref(aug, ctx)
-        part = [0] * (n + 1)
-        for r, p in zip(red, pivots):
-            part[p] = r[n + 1]
-        covs.append(combine_rows(coeffs, [part, *kern], ctx))
-    covs = normalize_rows(np.concatenate(covs), ctx)
+    grid = np.indices((ctx.order,) * len(free), dtype=np.uint8).reshape(len(free), -1).T
+    covs = np.empty((len(line_factors), len(grid), n + 1), dtype=np.uint8)
+    covs[:, :, plane] = np.array(line_factors, dtype=np.uint8)[:, None, :]
+    covs[:, :, free] = grid
+    covs = normalize_rows(covs.reshape(-1, n + 1), ctx)
     for i in np.argsort(point_rank_array(covs, ctx)):
         cov = tuple(covs[i].tolist())
         if divides_linear(cov, C, ctx):

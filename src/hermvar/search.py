@@ -77,6 +77,9 @@ _EVAL_CHUNK_BYTES = 16 << 20  # working set of the random-cubic evaluation
 # what else ran on those cores.  At 2^18 every product runs on the calling
 # thread, and a final product's output stays in L2 with its mod-p reduction.
 _PRODUCT_MNK = 1 << 18
+# A float32 sum of integers is exact below 2^24: the contraction reduces a
+# tensor mod p only when the next product's tracked bound would reach this.
+_UNREDUCED_LIMIT = 1 << 24
 _LINE_SLICE = 1 << 20  # dual lines per slice of the catalog
 
 
@@ -687,7 +690,12 @@ def _scaled_parts(coef, n, ctx, stages):
     lam_r^(k-3) for r = -(sigma + N(y_1)), so C_k' comes out of the
     product.  The block of the prefix (0 .. 0, 1) has g = 0: its pivot
     stands in for y_1, with the one value 1 and sigma = 0.  Products run
-    in float32; their sums, at most 4 m (p-1)^2, are exact.  Cubics are
+    in float32 on digit matrices with entries below p, so a product's
+    entries are at most 4 m (p-1) times its input's.  The coefficient
+    tensor and the final products are reduced mod p; between them that
+    bound is tracked, and a tensor is reduced before a product only when
+    the product's bound would reach _UNREDUCED_LIMIT (at (4,7) the final
+    products reach 663,552, so no reduction runs between).  Cubics are
     batched and the column classes split so that the pre-final tensor and
     each final part's products take a quarter of _EVAL_CHUNK_BYTES at most,
     and every product has M K N at most _PRODUCT_MNK (_matmul); a block too
@@ -698,7 +706,16 @@ def _scaled_parts(coef, n, ctx, stages):
     the caller's root table."""
     p, m, Q, T = ctx.p, ctx.ndigits, ctx.order, len(coef)
     add, mul, neg, nrm = ctx.add_table, ctx.mul_table, ctx.neg_table, ctx.norm_table
-    assert 4 * m * (p - 1) ** 2 < 2**24, "float32 sums would not be exact"
+    grow = 4 * m * (p - 1)  # a product's entries per unit of its input's
+    assert grow * (p - 1) < 2**24, "float32 sums would not be exact"
+
+    def reduced(X, bound):
+        """X and its entries' bound, reduced mod p first if a product of X
+        could reach _UNREDUCED_LIMIT."""
+        if grow * bound >= _UNREDUCED_LIMIT:
+            return _mod_p(X, p, scratch), p - 1
+        return X, bound
+
     exps = monomial_exponents(n, 3)
     # scale[k][r] = lam_r^(k-3), 1 at r = 0; fibre[r] = |{lam : N(lam) = r}|
     lam_inv = np.ones(Q, dtype=np.uint8)
@@ -762,14 +779,15 @@ def _scaled_parts(coef, n, ctx, stages):
                 c = mul[mult[:, None], cf[:, b0 : b0 + tb]]
                 X = np.zeros((3, 4**G, m, c.shape[1]), dtype=np.float32)
                 np.add.at(X, (ks, slots), ctx.digit_table[:, c].transpose(1, 0, 2))
-                X = _mod_p(X, p, scratch).reshape(-1, 4 * m, c.shape[1])
+                X, bound = _mod_p(X, p, scratch).reshape(-1, 4 * m, c.shape[1]), p - 1
                 stages["walk_s"] += time.time() - t0
                 stages["chunks"] += 1
                 for _ in range(G - 1):  # y_G .. y_2, each a new leading column axis
+                    X, bound = reduced(X, bound)
                     Y = np.empty((len(X), len(P), X.shape[-1]), dtype=np.float32)
-                    Y = _mod_p(_matmul(P, X, Y), p, scratch)
-                    X = Y.reshape(-1, 4 * m, Q * Y.shape[-1])
-                X = X.reshape(3, 4 * m, C, -1)
+                    X = _matmul(P, X, Y).reshape(-1, 4 * m, Q * Y.shape[-1])
+                    bound *= grow
+                X = reduced(X, bound)[0].reshape(3, 4 * m, C, -1)
                 for idx in groups:
                     sigma = int(sig[idx[0]])
                     r = neg[add[sigma, nrm[ys]]]
@@ -802,7 +820,8 @@ def _zero_counts(polys, n, ctx, stages):
     r = 0 the one point, lam = 0, is a zero iff C_0 = C_0' = 0.  So a
     prefix's zeros are the entry of _root_table at
     key = slab Q^3 + C_2' Q^2 + C_1' Q + C_0', slab the kind, or 2 at
-    r = 0.  The keys, below 3 Q^3 < 2^24, are exact in float32."""
+    r = 0.  The keys, below 3 Q^3 < 2^24, are exact in float32, and so are
+    a chunk's hits, summed per cubic by a float32 ones-row product."""
     p, m, Q = ctx.p, ctx.ndigits, ctx.order
     assert 3 * Q**3 < 2**24, "float32 keys would not be exact"
     coef, c3 = _cubic_coefficients(polys, n, ctx)
@@ -814,8 +833,10 @@ def _zero_counts(polys, n, ctx, stages):
         tb = Y.shape[-1]
         key = (weights @ Y.reshape(3 * m, -1)).reshape(len(r), -1, tb)
         key += np.where((r == 0)[:, None, None], np.float32(2 * Q**3), slab[b0 : b0 + tb])
-        found = cnt.take(key.astype(np.intp)).reshape(-1, tb)
-        counts[b0 : b0 + tb] += found.sum(axis=0, dtype=np.int64)
+        hits = cnt.take(key.astype(np.intp)).reshape(-1, tb).astype(np.float32)
+        assert len(hits) * (ctx.q + 1) < 2**24, "float32 hit sums would not be exact"
+        sums = _matmul(np.ones((1, len(hits)), np.float32), hits, np.empty((1, tb), np.float32))
+        counts[b0 : b0 + tb] += sums[0].astype(np.int64)
     return counts
 
 

@@ -8,7 +8,7 @@ from hermvar.bounds import cone_counts
 from hermvar.cubics import max_cubic_intersection
 from hermvar.field import make_field
 from hermvar.hermitian import HermitianForm, gram, hyperplane_section_counts, standard_form
-from hermvar.projgeom import matrix_rank
+from hermvar.projgeom import incidence_blocks, matrix_rank, point_array
 from hermvar.search import PencilScanReport, _dual_line_digits, gaussian_binomial
 
 
@@ -21,6 +21,18 @@ def axis_counts(geo, block=4096):
         p = geo.planes[a : a + block]
         rows = geo.Z[p[:, 0]] & geo.Z[p[:, 1]]
         out[a : a + block] = np.bitwise_count(rows).sum(axis=1)
+    return out
+
+
+def line_counts_all(zeros, ctx):
+    """Number of the points `zeros` (rows of point_array(2, ctx)) on each
+    line of P^2, in canonical line order: the dot values of every line
+    with every zero, one incidence_blocks pass over all q^4 + q^2 + 1
+    lines."""
+    lines = point_array(2, ctx)
+    out = np.empty(len(lines), dtype=np.int64)
+    for a, b, block in incidence_blocks(lines, zeros, ctx):
+        out[a:b] = np.count_nonzero(block == 0, axis=1)
     return out
 
 

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from hermvar import cubics as cubics_mod
 from hermvar import hermitian, projgeom
 from hermvar.cubics import (
+    Hypersurface,
     _as_dict,
+    _line_counts,
     _line_factors,
     _pmul,
     affine_section_count,
@@ -63,7 +65,7 @@ from hermvar.projgeom import (
     point_array,
     rref,
 )
-from oracles import congruent_form
+from oracles import congruent_form, line_counts_all
 
 
 def random_triple(n, ctx, rng):
@@ -584,6 +586,96 @@ def test_linear_factor_finds_every_hyperplane():
         assert linear_factor(C, ctx) == brute, L
 
 
+def _canonical_line(pivot, n, ctx, rng):
+    """Linear form with its leading 1 at x_pivot and random later
+    coefficients, as a monomial dict."""
+    cov = [0] * pivot + [1] + [int(c) for c in rng.integers(0, ctx.order, n - pivot)]
+    return {tuple(int(i == j) for i in range(n + 1)): c for j, c in enumerate(cov) if c}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_linear_factor_matches_trial_division(n):
+    # sparse cubics of 1-4 random monomials, and products L G and L L' L''
+    # whose first monomial is x_a x_b x_c for drawn a <= b <= c (the first
+    # monomial of a product is the product of the first monomials), so the
+    # coordinate plane is padded when a monomial has fewer than three
+    # variables, and two factors can share a leading variable:
+    # linear_factor returns the first hyperplane of P^n(F_4) that divides
+    # C, and the screen's plane runs over every coordinate plane
+    ctx = make_field(2)
+    hyps = list(enumerate_hyperplanes(n, ctx))
+    exps = monomial_exponents(n, 3)
+    planes = list(itertools.combinations(range(n + 1), 3))
+    leads = list(itertools.combinations_with_replacement(range(n + 1), 3))
+    seen = set()
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def check(data):
+        kind = data.draw(st.sampled_from(["sparse", "L*G", "L*L'*L''"]), label="kind")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        if kind == "sparse":
+            picks = rng.choice(len(exps), size=data.draw(st.integers(1, 4)), replace=False)
+            C = {exps[i]: int(rng.integers(1, ctx.order)) for i in picks}
+        else:
+            a, b, c = data.draw(st.sampled_from(leads), label="lead")
+            C = _canonical_line(a, n, ctx, rng)
+            if kind == "L*G":
+                top = tuple((i == b) + (i == c) for i in range(n + 1))
+                G = {e: int(rng.integers(0, ctx.order)) for e in monomial_exponents(n, 2) if e < top}
+                G[top] = 1
+                C = _pmul(C, G, ctx)
+            else:
+                for pivot in (b, c):
+                    C = _pmul(C, _canonical_line(pivot, n, ctx, rng), ctx)
+        C = make_hypersurface(C, n, 3, ctx)
+        support = [i for i, e in enumerate(C.monomials[0][0]) if e]
+        pad = [i for i in range(n + 1) if i not in support][: 3 - len(support)]
+        seen.add(tuple(sorted(support + pad)))
+        want = next((h for h in hyps if divides_linear(h.covector, C, ctx)), None)
+        assert linear_factor(C, ctx) == want
+
+    check()
+    assert seen == set(planes)
+
+
+def test_linear_factor_refuses_forms_without_a_plane(monkeypatch):
+    # a form whose every monomial has four or more variables, possible only
+    # from degree 4 on, has no coordinate plane to restrict to: OutOfRange
+    # before any work, as for n < 3
+    ctx = make_field(2)
+
+    def no_work(*args):
+        raise AssertionError("linear_factor worked on a form it refuses")
+
+    monkeypatch.setattr(cubics_mod, "_line_factors", no_work)
+    monkeypatch.setattr(cubics_mod, "make_hypersurface", no_work)
+    quartic = Hypersurface((((1, 1, 1, 1), 1),), 3, 4)
+    with pytest.raises(OutOfRange, match="at most three variables"):
+        linear_factor(quartic, ctx)
+    plane = Hypersurface((((3, 0, 0), 1),), 2, 3)
+    with pytest.raises(OutOfRange, match="n >= 3"):
+        linear_factor(plane, ctx)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_line_counts_match_all_lines_count(q):
+    # the per-prefix count against the count over every line of P^2, on
+    # random sets of points, sets with several points on x_2 = 0, the
+    # whole line x_2 = 0, all of P^2 and no point
+    ctx = make_field(q)
+    pts = point_array(2, ctx)
+    on_x2 = np.flatnonzero(pts[:, 2] == 0)
+    rng = np.random.default_rng(40 + q)
+    sets = [rng.choice(len(pts), size=k, replace=False) for k in (1, 5, ctx.order + 1, 3 * ctx.order)]
+    sets += [np.union1d(s, rng.choice(on_x2, size=min(4, len(on_x2)), replace=False)) for s in sets]
+    sets += [on_x2, np.arange(len(pts)), np.arange(0)]
+    for rows in sets:
+        zeros = pts[np.sort(rows)]
+        got = _line_counts(zeros, ctx)
+        assert got.dtype == np.int64 and np.array_equal(got, line_counts_all(zeros, ctx)), len(rows)
+
+
 def ternary_cubic_cases(ctx, rng):
     """Ternary cubics by family: random, L * conic, three concurrent lines,
     three non-concurrent lines and L^3, each with the lines it must have."""
@@ -615,7 +707,7 @@ def ternary_cubic_cases(ctx, rng):
     return cases
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_line_factors_match_scalar_scan(q):
     # the one-pass vanishing test, confirmed by divides_linear, finds exactly
     # the lines the scalar scan over every line of P^2 finds, in its order

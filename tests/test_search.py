@@ -831,7 +831,10 @@ def test_batched_values_match_eval_poly_at(n, q, monkeypatch):
     # the last cuts every block into one-column grids, fixing all
     # coordinates but y_1.  No product's M K N exceeds its cap but where one
     # column already does, and no final product's output its byte budget
-    # but where one column of a cubic batch already does
+    # but where one column of a cubic batch already does.  Each config runs
+    # twice: with the unreduced-sum limit as it is, which no desk-scale
+    # (n, q) reaches, so only the final reductions run, and with it at 0,
+    # so every tensor is reduced mod p before each product
     from hermvar import search
     from hermvar.cubics import eval_poly_at
 
@@ -850,16 +853,25 @@ def test_batched_values_match_eval_poly_at(n, q, monkeypatch):
         (192 * m, product),
     ]
     matmul, products = np.matmul, []
+    mod_p, reductions = search._mod_p, []
 
     def record(P, X, **kw):
         products.append((P.size * X.shape[-1], P.size))
         return matmul(P, X, **kw)
 
+    def count_reduction(Y, *args):
+        reductions.append(Y.size)
+        return mod_p(Y, *args)
+
     monkeypatch.setattr(search.np, "matmul", record)
-    for budget, cap in configs:
+    monkeypatch.setattr(search, "_mod_p", count_reduction)
+    runs, unreduced = {}, search._UNREDUCED_LIMIT
+    for (budget, cap), limit in itertools.product(configs, (unreduced, 0)):
         monkeypatch.setattr(search, "_EVAL_CHUNK_BYTES", budget)
         monkeypatch.setattr(search, "_PRODUCT_MNK", cap)
+        monkeypatch.setattr(search, "_UNREDUCED_LIMIT", limit)
         products.clear()
+        reductions.clear()
         seen = np.zeros((len(prefixes), len(polys)), dtype=np.int64)
         classes = set()
         stages = dict(walk_s=0.0, prefixes=0, points=0, chunks=0)
@@ -883,6 +895,10 @@ def test_batched_values_match_eval_poly_at(n, q, monkeypatch):
         assert 0 in classes  # the r = 0 class
         assert stages["points"] == len(U) == nondegenerate_count(n, q)
         assert products and all(mnk <= max(cap, size) for mnk, size in products)
+        # at limit 0 every tensor is reduced again before its product
+        runs[budget, cap, limit] = len(reductions)
+        if not limit:
+            assert len(reductions) >= runs[budget, cap, unreduced] + stages["chunks"]
         counts = search._zero_counts(polys, n, ctx, dict.fromkeys(stages, 0))
         assert counts.tolist() == want_counts
     # one pass per cubic and one-column grid
@@ -996,6 +1012,30 @@ def test_random_cubic_sample_never_scans_projective_space(monkeypatch):
     assert got.to_json_dict() == want.to_json_dict()
     assert got.retained > 0 and got.stages["points"] == nondegenerate_count(4, 3)
     assert got.stages["prefixes"] == num_points(3, 3)
+
+
+def test_random_cubic_screen_needs_no_scalar_algebra(monkeypatch):
+    # the linear-factor screen restricts to a coordinate plane by selecting
+    # monomials and finds no base point: with the scalar evaluation and the
+    # restriction to a basis unavailable, the job gives the same report, and
+    # so does the screen of a product of three hyperplanes
+    from hermvar import cubics
+    from hermvar.cubics import expand_product, linear_factor
+    from hermvar.projgeom import Hyperplane
+
+    want = random_cubic_sample(4, 7, trials=12, seed=5)
+    ctx = make_field(7)
+    hyps = [Hyperplane((0, 1, 3, 0, 2)), Hyperplane((1, 0, 0, 5, 0)), Hyperplane((0, 0, 1, 4, 4))]
+    product = expand_product(hyps, ctx)
+
+    def no_scalar(*args):
+        raise AssertionError("the screen ran scalar polynomial algebra")
+
+    monkeypatch.setattr(cubics, "evaluate_poly", no_scalar)
+    monkeypatch.setattr(cubics, "restrict_poly", no_scalar)
+    got = random_cubic_sample(4, 7, trials=12, seed=5)
+    assert got.to_json_dict() == want.to_json_dict()
+    assert linear_factor(product, ctx) == hyps[1]
 
 
 def test_report_serialization(tmp_path):
