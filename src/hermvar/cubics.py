@@ -530,7 +530,7 @@ def _line_counts(zeros, ctx):
     off = z2 != 0
     inv = ctx.inv_table[z2[off]]
     hits, whole = [], np.zeros(Q + 1, dtype=np.int64)
-    for a, b, V in incidence_blocks(point_array(1, ctx), zeros[:, :2], ctx):
+    for a, b, V in incidence_blocks(1, zeros[:, :2], ctx):
         c = ctx.mul_table[ctx.neg_table[V[:, off]], inv]
         hits.append((np.arange(a * Q, b * Q, Q)[:, None] + c).ravel())
         whole[a:b] = np.count_nonzero(V[:, ~off] == 0, axis=1)

@@ -12,6 +12,7 @@ and ordering.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,27 +186,31 @@ def point_rows(n, ctx, a, b):
     return np.concatenate(parts or [np.zeros((0, n + 1), dtype=np.uint8)])
 
 
-def incidence_blocks(covs, pts, ctx):
-    """Covector-point dot products in row blocks of about 500 k entries:
-    yields (a, b, block) with block[i, p] the dot product of covs[a + i] and
-    pts[p], a field index that is 0 iff the point lies on the hyperplane.
+def incidence_blocks(m, pts, ctx):
+    """Dot products of the covectors point_array(m, ctx) with the points
+    pts, an (P, m + 1) index array, in row blocks of at most 500 k entries
+    (or one grid run, if a run is larger): yields (a, b, block) with
+    block[i, p] the dot product of covector a + i and pts[p], a field index
+    that is 0 iff the point lies on the hyperplane.
 
-    Each coordinate's products come from one (Q, |pts|) table of c * pts[:, j]
-    over every field element c, so a step is a row gather plus one addition
-    table lookup."""
+    The covectors are walked as the broadcast grids of point_grids, never
+    as rows.  Each coordinate's products come from one (Q, P) table of
+    c * pts[:, j] over every field element c, gathered at the grid's
+    broadcast column, so a term spans only the axes its coordinate varies
+    on; the partial sums grow one axis at a time through the addition
+    table, and only the last addition spans the whole block."""
     Q = ctx.order
-    tabs = [ctx.mul_table[:, pts[:, j]] for j in range(pts.shape[1])]
+    P = len(pts)
+    tabs = [ctx.mul_table[:, pts[:, j]] for j in range(m + 1)]
     add = ctx.add_table.ravel()
-    blk = max(1, 500_000 // max(1, len(pts)))
-    for a in range(0, len(covs), blk):
-        b = min(a + blk, len(covs))
-        acc = tabs[0][covs[a:b, 0]]
-        for j in range(1, pts.shape[1]):
-            idx = acc.astype(np.intp)
-            idx *= Q
-            idx += tabs[j][covs[a:b, j]]
-            acc = add.take(idx)
-        yield a, b, acc
+    a = 0
+    for cols in point_grids(m, ctx, max(1, 500_000 // max(1, P))):
+        acc = tabs[0][cols[0]]
+        for tab, col in zip(tabs[1:], cols[1:]):
+            acc = add.take(acc.astype(np.intp) * Q + tab[col])
+        rows = math.prod(acc.shape[:-1])
+        yield a, a + rows, acc.reshape(rows, P)
+        a += rows
 
 
 def _rank_offsets(n, Q):

@@ -108,13 +108,17 @@ def incidence_zero_matrix(n, ctx, upts):
     dot values V of these prefixes with the points' first n coordinates,
     once per distinct point prefix (one per run of rows that share it, see
     _prefix_starts), spreads them to the points, and a run's Q rows are
-    -a_n x_n == V, one table compare each."""
+    -a_n x_n == V, one table compare each.  The kernel (incidence_blocks)
+    walks the prefixes as broadcast grids of P^{n-1}, and the table `last`
+    of -a_n x_n is gathered C-contiguous, so each compare reads a
+    contiguous row of it (a row gather then a column gather would leave it
+    Fortran-ordered, every compare striding by Q)."""
     Q = ctx.order
     Z = np.empty((num_points(n, ctx.q), (len(upts) + 7) // 8), dtype=np.uint8)
     new = _prefix_starts(upts, n)
     inv = np.cumsum(new) - 1  # each point's distinct prefix
-    last = ctx.mul_table[ctx.neg_table][:, upts[:, n]]  # -a_n x_n for every a_n
-    for a, b, V in incidence_blocks(point_array(n - 1, ctx), upts[new, :n], ctx):
+    last = ctx.mul_table[ctx.neg_table[:, None], upts[:, n]]  # -a_n x_n, every a_n
+    for a, b, V in incidence_blocks(n - 1, upts[new, :n], ctx):
         V = V.take(inv, axis=1)
         for c in range(Q):
             Z[a * Q + c : b * Q : Q] = np.packbits(last[c] == V, axis=1)
@@ -498,6 +502,20 @@ def pencil_triples_scan(n, q):
 # -- incidence double counting -------------------------------------------------
 
 
+def _column_counts(rows, width):
+    """Number of set bits in each of the first `width` columns of the
+    bit-packed rows, as int64; padding bits past `width` are ignored.
+
+    The rows are unpacked 255 at a time and each run is summed in uint8,
+    which is exact since 255 bits cannot overflow it, then added into an
+    int64 total: the whole matrix is never unpacked."""
+    out = np.zeros(width, dtype=np.int64)
+    for a in range(0, len(rows), 255):
+        bits = np.unpackbits(rows[a : a + 255], axis=1, count=width)
+        out += bits.sum(axis=0, dtype=np.uint8)
+    return out
+
+
 @dataclass
 class IncidenceReport:
     n: int
@@ -538,21 +556,14 @@ def incidence_double_count(n, q, budget=DEFAULT_POINT_BUDGET):
     assert np.array_equal(np.sort(cov_ranks), np.flatnonzero(kinds)), (
         "the tangent map must be a bijection onto the tangent hyperplanes"
     )
-    # column sums of unpacked rows of Z, exact in int32 below 2^31 rows
-    assert len(Z) < 2**31, "int32 column sums could overflow"
-
-    def through(rows):
-        bits = np.unpackbits(rows, axis=1, count=nU)
-        return bits.sum(axis=0, dtype=np.int32).astype(np.int64)
-
     # tangency incidence among variety points: point b lies on the tangent
     # hyperplane at point a iff bit b of Z's row at that covector is set
-    tangent_through = through(Z[cov_ranks])
+    tangent_through = _column_counts(Z[cov_ranks], nU)
     uniform = bool((tangent_through == tangent_through[0]).all())
     t_count = int(tangent_through[0])
     # hyperplane side
     n_tangent = int(kinds.sum())
-    hyps_through = through(Z)
+    hyps_through = _column_counts(Z, nU)
     assert (hyps_through == hyps_through[0]).all()
     left = int(((hyps_through - tangent_through)).sum())
     right = int(np.bitwise_count(Z[~kinds]).sum(dtype=np.int64))

@@ -8,7 +8,7 @@ from hermvar.bounds import cone_counts
 from hermvar.cubics import max_cubic_intersection
 from hermvar.field import make_field
 from hermvar.hermitian import HermitianForm, gram, hyperplane_section_counts, standard_form
-from hermvar.projgeom import incidence_blocks, matrix_rank, point_array
+from hermvar.projgeom import incidence_blocks, matrix_rank, num_points
 from hermvar.search import PencilScanReport, _dual_line_digits, gaussian_binomial
 
 
@@ -29,9 +29,8 @@ def line_counts_all(zeros, ctx):
     line of P^2, in canonical line order: the dot values of every line
     with every zero, one incidence_blocks pass over all q^4 + q^2 + 1
     lines."""
-    lines = point_array(2, ctx)
-    out = np.empty(len(lines), dtype=np.int64)
-    for a, b, block in incidence_blocks(lines, zeros, ctx):
+    out = np.empty(num_points(2, ctx.q), dtype=np.int64)
+    for a, b, block in incidence_blocks(2, zeros, ctx):
         out[a:b] = np.count_nonzero(block == 0, axis=1)
     return out
 

@@ -12,6 +12,7 @@ from hermvar.projgeom import (
     enumerate_points,
     hyperplanes_through,
     hyperplanes_through_count,
+    incidence_blocks,
     intersect_hyperplanes,
     membership,
     normalize,
@@ -121,6 +122,53 @@ def test_point_rows_at_4_7_are_canonical_and_ranked_in_order():
         assert np.array_equal(point_rank_array(rows, ctx), np.arange(a, b))
         lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
         assert (lead == 1).all()
+
+
+def scalar_dots(m, ctx, pts):
+    """[covector, point] -> ctx.dot over enumerate_hyperplanes(m) and the
+    rows of pts, by scalar loops over the distinct rows only."""
+    N = num_points(m, ctx.q)
+    if not len(pts):
+        return np.zeros((N, 0), dtype=np.uint8)
+    uniq, inv = np.unique(pts, axis=0, return_inverse=True)
+    rows = [tuple(int(x) for x in p) for p in uniq]
+    table = np.array(
+        [[ctx.dot(H.covector, p) for p in rows] for H in enumerate_hyperplanes(m, ctx)],
+        dtype=np.uint8,
+    )
+    return table[:, inv.ravel()]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("q", [2, 3])
+def test_incidence_blocks_match_scalar_dot(m, q):
+    # the grid walk over the covectors point_array(m) against a scalar dot,
+    # on no points, one point, many repeats of a few points (enough that
+    # the first pivot block is cut into several grids), and random subsets
+    ctx = make_field(q)
+    pa = point_array(m, ctx)
+    N, Q = len(pa), ctx.order
+    rng = np.random.default_rng(100 * m + q)
+    few = rng.choice(N, size=min(N, 12), replace=False)
+    cases = [
+        pa[:0],
+        pa[[int(rng.integers(N))]],
+        pa[rng.choice(few, size=500_000 // (Q**m - 1) + 1)],
+        pa[np.sort(rng.choice(N, size=min(N, 40), replace=False))],
+        pa[rng.permutation(N)[: min(N, 40)]],
+    ]
+    for pts in cases:
+        P = len(pts)
+        blocks = list(incidence_blocks(m, pts, ctx))
+        assert [a for a, _, _ in blocks] == [0] + [b for _, b, _ in blocks[:-1]]
+        assert blocks[-1][1] == N
+        for a, b, block in blocks:
+            assert block.dtype == np.uint8 and block.shape == (b - a, P)
+            assert (b - a) * P <= max(500_000, P), (a, b, P)
+        got = np.concatenate([block for _, _, block in blocks])
+        assert np.array_equal(got, scalar_dots(m, ctx, pts)), P
+    # the repeated case cuts the first pivot block, Q^m covectors, in parts
+    assert len(list(incidence_blocks(m, cases[2], ctx))) > m + 1
 
 
 @pytest.mark.parametrize("n,q", [(2, 2), (3, 3), (4, 2)])
