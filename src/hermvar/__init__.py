@@ -51,7 +51,7 @@ from .errors import (
     PreconditionViolated,
     WrongDimension,
 )
-from .field import FieldCtx, frobenius, is_prime_power, make_field, norm, solve_norm, trace
+from .field import FieldCtx, is_prime_power, make_field, solve_norm
 from .hermitian import (
     HermitianForm,
     SectionType,

@@ -132,10 +132,6 @@ def _pmul(A, B, ctx):
     )
 
 
-def _as_dict(C):
-    return {e: c for e, c in C.monomials}
-
-
 def expand_product(hyperplanes, ctx):
     """The hypersurface cut out by the product of the linear forms."""
     n = hyperplanes[0].n
@@ -148,21 +144,6 @@ def expand_product(hyperplanes, ctx):
         }
         acc = lin if acc is None else _pmul(acc, lin, ctx)
     return make_hypersurface(acc, n, len(hyperplanes), ctx)
-
-
-def evaluate_poly(C, coords, ctx):
-    acc = 0
-    for exp, c in C.monomials:
-        t = c
-        for x, e in zip(coords, exp):
-            if e:
-                if x == 0:
-                    t = 0
-                    break
-                t = ctx.mul(t, ctx.pow(x, e))
-        if t:
-            acc = ctx.add(acc, t)
-    return acc
 
 
 def _horner(terms, cols, ctx):
@@ -207,41 +188,6 @@ def eval_poly_at(C, pts, ctx):
     one gather of a lam table (see _top_table)."""
     cols = [np.ascontiguousarray(pts[:, i]) for i in range(C.n + 1)]
     return _horner(C.monomials, cols, ctx)
-
-
-def restrict_poly(C, basis, ctx):
-    """Substitute the parametrization x = sum(y_u * basis_u) into the form;
-    None when the restriction is the zero polynomial."""
-    m1 = len(basis)
-    # linear forms x_i = sum_u basis[u][i] y_u, as dicts over y-exponents
-    unit = tuple([0] * m1)
-    coord_forms = []
-    for i in range(len(basis[0])):
-        d = {}
-        for u in range(m1):
-            c = basis[u][i]
-            if c:
-                e = tuple(int(v == u) for v in range(m1))
-                d[e] = c
-        coord_forms.append(d)
-    out = {}
-    for exp, c in C.monomials:
-        term = {unit: c}
-        dead = False
-        for i, e in enumerate(exp):
-            for _ in range(e):
-                if not coord_forms[i]:
-                    dead = True
-                    break
-                term = _pmul(term, coord_forms[i], ctx)
-            if dead or not term:
-                dead = True
-                break
-        if not dead:
-            _accumulate(out, term.items(), ctx)
-    if not out:
-        return None
-    return make_hypersurface(out, m1 - 1, C.degree, ctx)
 
 
 # -- enumeration ------------------------------------------------------------
@@ -362,7 +308,7 @@ class Arrangement:
 @dataclass(frozen=True)
 class IntersectionReport:
     count: int
-    method: str  # "inclusion_exclusion" | "enumeration"
+    method: str  # always "inclusion_exclusion"
     breakdown: tuple  # (("per_hyperplane", (...)), ...) as sorted pairs
 
 
@@ -620,28 +566,33 @@ def affine_section_count(C, f, sigma, pi, budget=DEFAULT_POINT_BUDGET):
     """|V(C) meet V(f) meet (sigma minus pi)|, for a hyperplane sigma not
     inside C and a codim-2 space pi inside both C and sigma, by enumeration
     of the hyperplane's points; raises PreconditionViolated outside the
-    setting of check_affine_section_bound."""
+    setting of check_affine_section_bound.
+
+    The budget is checked before the two refusals that read C's values at
+    sigma's points: pi inside C and sigma not inside C.  Since d <= q < q^2,
+    a restriction of C that vanishes at every point of the subspace is the
+    zero polynomial (Alon's Combinatorial Nullstellensatz), so its values
+    decide each containment exactly."""
     ctx = f.ctx
     n, q, d = f.n, ctx.q, C.degree
     if d > q or n < 3:
         raise PreconditionViolated(f"need degree d={d} <= q={q} and n >= 3")
-    sigma_sub = intersect_hyperplanes([sigma], ctx)
     if pi.dim != n - 2:
         raise PreconditionViolated("pi must have codimension 2")
-    pi_duals = nullspace([list(r) for r in pi.basis], ctx)
     if any(ctx.dot(sigma.covector, row) != 0 for row in pi.basis):
         raise PreconditionViolated("pi must lie inside sigma")
-    if restrict_poly(C, pi.basis, ctx) is not None:
-        raise PreconditionViolated("pi must lie inside the hypersurface")
-    if restrict_poly(C, sigma_sub.basis, ctx) is None:
-        raise PreconditionViolated("sigma must not lie inside the hypersurface")
     N = num_points(n - 1, q)
     if N > budget:
         raise BudgetExceeded(N, budget)
-    pts = subspace_point_array(sigma_sub, ctx)
-    on_c = eval_poly_at(C, pts, ctx) == 0
-    on_f = eval_form_at(f, pts) == 0
+    pts = subspace_point_array(intersect_hyperplanes([sigma], ctx), ctx)
+    pi_duals = nullspace([list(r) for r in pi.basis], ctx)
     in_pi = ~combine_rows(pts, list(zip(*pi_duals)), ctx).any(axis=1)
+    on_c = eval_poly_at(C, pts, ctx) == 0
+    if not on_c[in_pi].all():
+        raise PreconditionViolated("pi must lie inside the hypersurface")
+    if on_c.all():
+        raise PreconditionViolated("sigma must not lie inside the hypersurface")
+    on_f = eval_form_at(f, pts) == 0
     return int(np.count_nonzero(on_c & on_f & ~in_pi))
 
 
@@ -657,7 +608,9 @@ def check_affine_section_bound(C, f, sigma, pi, budget=DEFAULT_POINT_BUDGET):
 def make_affine_bound_instance(n, d, ctx, rng):
     """Construct (C, sigma, pi) meeting the affine-bound preconditions:
     sigma = V(x_0), pi = V(x_0, x_1), C = x_0*G + x_1*H for random forms
-    G, H of degree d-1 (resampled until sigma is not inside C)."""
+    G, H of degree d-1, resampled until sigma is not inside C: until some
+    monomial of C lacks x_0, for C restricted to V(x_0) keeps exactly those
+    monomials."""
     e0 = tuple(int(i == 0) for i in range(n + 1))
     e1 = tuple(int(i == 1) for i in range(n + 1))
     sigma = Hyperplane(e0)
@@ -670,11 +623,7 @@ def make_affine_bound_instance(n, d, ctx, rng):
     while True:
         G = random_hypersurface(n, d - 1, ctx, rng)
         H = random_hypersurface(n, d - 1, ctx, rng)
-        poly = _pmul(x0, _as_dict(G), ctx)
-        _accumulate(poly, _pmul(x1, _as_dict(H), ctx).items(), ctx)
-        if not poly:
-            continue
-        C = make_hypersurface(poly, n, d, ctx)
-        sigma_sub = intersect_hyperplanes([sigma], ctx)
-        if restrict_poly(C, sigma_sub.basis, ctx) is not None:
-            return C, sigma, pi
+        poly = _pmul(x0, dict(G.monomials), ctx)
+        _accumulate(poly, _pmul(x1, dict(H.monomials), ctx).items(), ctx)
+        if any(e[0] == 0 for e in poly):
+            return make_hypersurface(poly, n, d, ctx), sigma, pi

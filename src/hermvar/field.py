@@ -252,18 +252,6 @@ def make_field(q, cap=DEFAULT_CAP):
     return FieldCtx(q, cap=cap)
 
 
-def frobenius(ctx, a):
-    return ctx.frobenius(a)
-
-
-def norm(ctx, a):
-    return ctx.norm(a)
-
-
-def trace(ctx, a):
-    return ctx.trace(a)
-
-
 def solve_norm(ctx, d):
     """Smallest-index lam with lam^(q+1) = d, for nonzero subfield d: the
     first of its norm fibre, which FieldCtx asserts has q+1 elements."""

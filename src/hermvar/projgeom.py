@@ -104,22 +104,24 @@ _POINT_ARRAYS = {}
 def point_array(n, ctx):
     """All canonical points as an (N, n+1) uint8 array, in enumeration order.
 
-    Cached per (n, q); treat the result as read-only.  It is built one
-    pivot block at a time (point_rows) and concatenated.  Built in place
-    instead, by one point_rows(n, ctx, 0, N) call, the same bytes cut the
-    benchmark's peak RSS at (4,7) from 91 to 74 MiB, but left the jobs run
-    after it 3-39% slower (median about +23%, 3+3 alternating runs of
-    enum_scan and random_cubics), though no job reads the array; the same
-    was found when the prefix scans came in.  A likely cause, not verified,
-    is glibc raising its mmap threshold when the freed 28.8 MB block goes
-    back to the allocator.
+    Cached per (n, q); treat the result as read-only.  Each pivot block is
+    the one grid that point_grids(n, ctx, Q^n) yields for it, written out as
+    rows, and the blocks are then concatenated.  Written into one (N, n+1)
+    array instead, the same bytes cut the benchmark's peak RSS at (4,7) from
+    91 to 74 MiB, but left the jobs run after it 3-39% slower (median about
+    +23%, 3+3 alternating runs of enum_scan and random_cubics), though no
+    job reads the array; the same was found when the prefix scans came in.
+    A likely cause, not verified, is glibc raising its mmap threshold when
+    the freed 28.8 MB block goes back to the allocator.
     """
     key = (n, ctx.q)
     arr = _POINT_ARRAYS.get(key)
     if arr is None:
-        offs = _rank_offsets(n, ctx.order)
         arr = np.concatenate(
-            [point_rows(n, ctx, offs[k], offs[k + 1]) for k in range(n + 1)]
+            [
+                np.stack(np.broadcast_arrays(*cols), axis=-1).reshape(-1, n + 1)
+                for cols in point_grids(n, ctx, ctx.order**n)
+            ]
         )
         arr.setflags(write=False)
         _POINT_ARRAYS[key] = arr
@@ -154,36 +156,6 @@ def point_grids(n, ctx, size):
         runs, step = Q ** (n - k - s), size // Q**s
         for r0 in range(0, runs, step):
             yield _grid_columns(n, Q, k, s, r0, min(r0 + step, runs))
-
-
-def point_rows(n, ctx, a, b):
-    """Rows a .. b-1 of point_array(n, ctx), built without the whole array
-    and not cached.
-
-    The range's part of pivot block k is covered by whole runs of Q^s rows,
-    s as large as the part allows, so at most Q + 1 runs.  As in
-    search._dual_line_digits, a run's leading digits are written once per
-    run; the columns of _grid_columns are written into one (runs, Q, ..., Q)
-    grid, and the part is then sliced out of the runs: no digit is divided
-    out per row."""
-    Q = ctx.order
-    offs = _rank_offsets(n, Q)
-    parts = []
-    for k in range(n + 1):
-        t0, t1 = max(a, offs[k]) - offs[k], min(b, offs[k + 1]) - offs[k]
-        if t0 >= t1:
-            continue
-        s = next(s for s in range(n - k, -1, -1) if Q**s <= t1 - t0)
-        R = Q**s
-        r0, r1 = t0 // R, -(-t1 // R)
-        grid = np.zeros((r1 - r0,) + (Q,) * s + (n + 1,), dtype=np.uint8)
-        for j, col in enumerate(_grid_columns(n, Q, k, s, r0, r1)):
-            if j >= k:
-                grid[..., j] = col
-        parts.append(grid.reshape(-1, n + 1)[t0 - r0 * R : t1 - r0 * R])
-    if len(parts) == 1:
-        return parts[0]
-    return np.concatenate(parts or [np.zeros((0, n + 1), dtype=np.uint8)])
 
 
 def incidence_blocks(m, pts, ctx):

@@ -24,6 +24,22 @@ def axis_counts(geo, block=4096):
     return out
 
 
+def evaluate_poly(C, coords, ctx):
+    """C's value at one point, monomial by monomial: the scalar oracle."""
+    acc = 0
+    for exp, c in C.monomials:
+        t = c
+        for x, e in zip(coords, exp):
+            if e:
+                if x == 0:
+                    t = 0
+                    break
+                t = ctx.mul(t, ctx.pow(x, e))
+        if t:
+            acc = ctx.add(acc, t)
+    return acc
+
+
 def line_counts_all(zeros, ctx):
     """Number of the points `zeros` (rows of point_array(2, ctx)) on each
     line of P^2, in canonical line order: the dot values of every line

@@ -12,7 +12,6 @@ from hermvar import cubics as cubics_mod
 from hermvar import hermitian, projgeom
 from hermvar.cubics import (
     Hypersurface,
-    _as_dict,
     _line_counts,
     _line_factors,
     _pmul,
@@ -22,7 +21,6 @@ from hermvar.cubics import (
     build_extremal,
     check_affine_section_bound,
     divides_linear,
-    evaluate_poly,
     eval_poly_at,
     expand_product,
     intersect_count_arrangement,
@@ -32,7 +30,6 @@ from hermvar.cubics import (
     make_hypersurface,
     monomial_exponents,
     random_hypersurface,
-    restrict_poly,
 )
 from hermvar.errors import (
     DuplicateHyperplanes,
@@ -64,8 +61,9 @@ from hermvar.projgeom import (
     pencil_through,
     point_array,
     rref,
+    subspace_point_array,
 )
-from oracles import congruent_form, line_counts_all
+from oracles import congruent_form, evaluate_poly, line_counts_all
 
 
 def random_triple(n, ctx, rng):
@@ -267,7 +265,7 @@ def test_keyed_oracles_match_scalar_loops(case):
 
 def test_enum_oracles_never_build_the_point_array(monkeypatch):
     # the oracles scan P^n as prefix grids x last coordinate: with point_array
-    # and point_rows both unavailable they give the same counts
+    # unavailable they give the same counts
     ctx = make_field(3)
     rng = np.random.default_rng(11)
     forms = [standard_form(4, ctx), general_form(4, ctx, rng)]
@@ -279,12 +277,8 @@ def test_enum_oracles_never_build_the_point_array(monkeypatch):
     def no_scan(*args, **kwargs):
         raise AssertionError("an enumeration oracle built point_array")
 
-    def no_rows(*args, **kwargs):
-        raise AssertionError("an enumeration oracle built point rows")
-
     for mod in (projgeom, hermitian, cubics_mod):
         monkeypatch.setattr(mod, "point_array", no_scan, raising=False)
-        monkeypatch.setattr(mod, "point_rows", no_rows, raising=False)
     got = [count_points_enum(f) for f in forms]
     got += [intersect_count_enum(C, f) for f in forms for C in polys]
     assert got == want
@@ -579,8 +573,8 @@ def test_linear_factor_finds_every_hyperplane():
     hyps = list(enumerate_hyperplanes(3, ctx))
     rng = np.random.default_rng(8)
     for L in hyps:
-        lin = _as_dict(expand_product([L], ctx))
-        G = _as_dict(random_hypersurface(3, 2, ctx, rng))
+        lin = dict(expand_product([L], ctx).monomials)
+        G = dict(random_hypersurface(3, 2, ctx, rng).monomials)
         C = make_hypersurface(_pmul(lin, G, ctx), 3, 3, ctx)
         brute = next(h for h in hyps if divides_linear(h.covector, C, ctx))
         assert linear_factor(C, ctx) == brute, L
@@ -689,8 +683,8 @@ def ternary_cubic_cases(ctx, rng):
     for _ in range(4):
         cases.append(("random", random_hypersurface(2, 3, ctx, rng), []))
         (L,) = pick(1)
-        conic = _as_dict(random_hypersurface(2, 2, ctx, rng))
-        lin = _as_dict(expand_product([L], ctx))
+        conic = dict(random_hypersurface(2, 2, ctx, rng).monomials)
+        lin = dict(expand_product([L], ctx).monomials)
         L_conic = make_hypersurface(_pmul(lin, conic, ctx), 2, 3, ctx)
         cases.append(("L*conic", L_conic, [L]))
         P = pts[int(rng.integers(len(pts)))]
@@ -764,14 +758,14 @@ def _general_affine_instance(n, d, ctx, rng):
         for cov in L:
             G = random_hypersurface(n, d - 1, ctx, rng)
             lin = {tuple(int(i == j) for i in range(n + 1)): c for j, c in enumerate(cov) if c}
-            for e, c in _pmul(lin, _as_dict(G), ctx).items():
+            for e, c in _pmul(lin, dict(G.monomials), ctx).items():
                 poly[e] = ctx.add(poly.get(e, 0), c)
         poly = {e: c for e, c in poly.items() if c}
         if not poly:
             continue
         C = make_hypersurface(poly, n, d, ctx)
-        sigma_sub = intersect_hyperplanes([sigma], ctx)
-        if restrict_poly(C, sigma_sub.basis, ctx) is not None:
+        pts = subspace_point_array(intersect_hyperplanes([sigma], ctx), ctx)
+        if eval_poly_at(C, pts, ctx).any():
             return C, sigma, pi
 
 
@@ -812,7 +806,7 @@ def test_affine_section_bound_preconditions():
     # C containing sigma entirely: multiply x_0 into everything
     e0 = tuple(int(i == 0) for i in range(5))
     G = random_hypersurface(4, 2, ctx, rng)
-    full = make_hypersurface(_pmul({e0: 1}, _as_dict(G), ctx), 4, 3, ctx)
+    full = make_hypersurface(_pmul({e0: 1}, dict(G.monomials), ctx), 4, 3, ctx)
     with pytest.raises(PreconditionViolated):
         check_affine_section_bound(full, f, sigma, pi)
     # degree above q
@@ -823,15 +817,49 @@ def test_affine_section_bound_preconditions():
         check_affine_section_bound(C2, f2, s2, p2)
 
 
-def test_restrict_poly():
-    ctx = make_field(2)
-    C = make_hypersurface({(3, 0, 0, 0, 0): 1, (0, 3, 0, 0, 0): 1}, 4, 3, ctx)
-    # restrict to V(x_0) meet V(x_1): both monomials vanish
-    basis = tuple(tuple(int(j == i) for j in range(5)) for i in range(2, 5))
-    assert restrict_poly(C, basis, ctx) is None
-    whole = tuple(tuple(int(j == i) for j in range(5)) for i in range(5))
-    R = restrict_poly(C, whole, ctx)
-    assert R.monomials == C.monomials
+def _affine_refusal_case(kind):
+    """(C, f, sigma, pi) that breaks one precondition of
+    affine_section_count and keeps the others: sigma = V(x_0) and
+    pi = V(x_0, x_1) in P^4 at q = 3 unless the case changes them."""
+    ctx = make_field(2 if kind == "d_above_q" else 3)
+    n = 2 if kind == "n_below_3" else 4
+    f = standard_form(n, ctx)
+    rng = np.random.default_rng(11)
+    if kind == "n_below_3":
+        C = random_hypersurface(n, 3, ctx, rng)
+        return C, f, Hyperplane((1, 0, 0)), LinearSubspace(((0, 0, 1),), n)
+    C, sigma, pi = make_affine_bound_instance(n, 3, ctx, rng)
+    unit = [tuple(int(i == j) for i in range(n + 1)) for j in range(n + 1)]
+    x0_G = _pmul({unit[0]: 1}, dict(random_hypersurface(n, 2, ctx, rng).monomials), ctx)
+    if kind == "pi_codim_3":
+        pi = LinearSubspace(tuple(unit[3:]), n)
+    elif kind == "pi_off_sigma":
+        pi = LinearSubspace((unit[0],) + tuple(unit[3:]), n)
+    elif kind == "pi_off_C":
+        # x_2^3 + x_0 G, which is x_2^3 on sigma and on pi
+        C = make_hypersurface({**x0_G, tuple(3 * e for e in unit[2]): 1}, n, 3, ctx)
+    elif kind == "sigma_in_C":
+        C = make_hypersurface(x0_G, n, 3, ctx)
+    return C, f, sigma, pi
+
+
+AFFINE_REFUSALS = {
+    "pi_codim_3": "pi must have codimension 2",
+    "pi_off_sigma": "pi must lie inside sigma",
+    "pi_off_C": "pi must lie inside the hypersurface",
+    "sigma_in_C": "sigma must not lie inside the hypersurface",
+    "d_above_q": "need degree d=3 <= q=2",
+    "n_below_3": "and n >= 3",
+}
+
+
+@pytest.mark.parametrize("kind", AFFINE_REFUSALS)
+def test_affine_section_count_refusals(kind):
+    # each precondition refused on its own, with its own message; the two
+    # containments in C are read from C's values at sigma's points
+    C, f, sigma, pi = _affine_refusal_case(kind)
+    with pytest.raises(PreconditionViolated, match=AFFINE_REFUSALS[kind]):
+        affine_section_count(C, f, sigma, pi)
 
 
 @pytest.mark.parametrize("n,q", [(4, 3), (6, 3)])

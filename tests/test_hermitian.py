@@ -38,7 +38,6 @@ from hermvar.projgeom import (
     num_points,
     point_array,
     point_rank_array,
-    point_rows,
     random_subspace,
     subspace_from_rows,
     subspace_points,
@@ -288,12 +287,12 @@ def test_form_scan_table_is_the_form(n, q):
     ],
 )
 def test_form_scan_grids_are_the_prefix_rows(n, q, chunks, monkeypatch):
-    # each chunk's broadcast columns, stacked, are the rows of P^(n-1) that
-    # point_rows gives for the chunk's range, chunk after chunk, and no
-    # chunk holds more than ceil(_CHUNK / Q) prefixes; the small _CHUNKs
-    # fix one or more leading coordinates of the first pivot blocks
+    # each chunk's broadcast columns, stacked, are the chunk's slice of
+    # point_array(n - 1), chunk after chunk, and no chunk holds more than
+    # ceil(_CHUNK / Q) prefixes; the small _CHUNKs fix one or more leading
+    # coordinates of the first pivot blocks
     ctx = make_field(q)
-    M = num_points(n - 1, q)
+    prefixes = point_array(n - 1, ctx)
     f = standard_form(n, ctx)
     for chunk in chunks:
         monkeypatch.setattr(hermitian, "_CHUNK", chunk)
@@ -304,12 +303,12 @@ def test_form_scan_grids_are_the_prefix_rows(n, q, chunks, monkeypatch):
             assert np.broadcast_shapes(*(c.shape for c in cols)) == key.shape
             assert 0 < key.size <= cap, (chunk, key.shape)
             rows = np.stack([c.ravel() for c in np.broadcast_arrays(*cols)], axis=1)
-            assert np.array_equal(rows, point_rows(n - 1, ctx, a, a + key.size)), (chunk, a)
+            assert np.array_equal(rows, prefixes[a : a + key.size]), (chunk, a)
             # the pivot k and the leading digits: the columns on the runs axis
             k = next(j for j, c in enumerate(cols) if c.size == 1 and c.item() == 1)
             fixed = max(fixed, sum(c.ndim == key.ndim for c in cols[k + 1 :]))
             a += key.size
-        assert a == M
+        assert a == len(prefixes)
         # the first block is Q^(n-1) prefixes: a grid of Q^s of them fixes
         # n - 1 - s leading coordinates
         Q = ctx.order

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from hermvar import projgeom
 from hermvar.errors import WrongDimension
 from hermvar.field import make_field
 from hermvar.projgeom import (
@@ -20,9 +19,9 @@ from hermvar.projgeom import (
     num_points,
     pencil_through,
     point_array,
+    point_grids,
     point_rank,
     point_rank_array,
-    point_rows,
     random_subspace,
     rref,
     subspace_from_rows,
@@ -54,74 +53,54 @@ def test_enumeration_is_exhaustive_and_canonical(n, q):
             assert normalize(v, ctx) in seen
 
 
-@pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (2, 3), (4, 2)])
-def test_point_array_matches_stream(n, q):
-    ctx = make_field(q)
-    arr = point_array(n, ctx)
-    assert arr.shape == (num_points(n, q), n + 1)
-    for i, p in enumerate(enumerate_points(n, ctx)):
-        if i >= 2000:
-            break
-        assert tuple(int(x) for x in arr[i]) == p.coords
-
-
 def _stream(n, ctx):
     return np.array([P.coords for P in enumerate_points(n, ctx)], dtype=np.uint8)
 
 
+@pytest.mark.parametrize(
+    "n,q", [(1, 2), (1, 4), (2, 2), (2, 3), (3, 2), (3, 3), (3, 4), (4, 2)]
+)
+def test_point_array_matches_stream(n, q):
+    # the whole array against the scalar stream
+    ctx = make_field(q)
+    arr = point_array(n, ctx)
+    assert arr.dtype == np.uint8 and arr.shape == (num_points(n, q), n + 1)
+    assert np.array_equal(arr, _stream(n, ctx))
+
+
 @pytest.mark.parametrize("n,q", [(1, 2), (1, 4), (2, 2), (3, 2), (2, 3)])
 def test_point_rows_every_range_matches_the_stream(n, q):
+    # the rows as point_grids cuts them, at every grid size: no grid holds
+    # more than `size` points or crosses a pivot block, and the grids' rows
+    # in order tile the stream
     ctx = make_field(q)
     want = _stream(n, ctx)
     N = len(want)
     assert np.array_equal(point_array(n, ctx), want)
-    for a in range(N + 1):
-        for b in range(a, N + 1):
-            got = point_rows(n, ctx, a, b)
-            assert got.dtype == np.uint8 and got.shape == (b - a, n + 1)
-            assert np.array_equal(got, want[a:b]), (a, b)
+    for size in range(1, N + 1):
+        a = 0
+        for cols in point_grids(n, ctx, size):
+            got = np.stack(np.broadcast_arrays(*cols), axis=-1).reshape(-1, n + 1)
+            assert got.dtype == np.uint8 and 1 <= len(got) <= size, (size, a)
+            assert len(set(np.argmax(got != 0, axis=1).tolist())) == 1, (size, a)
+            assert np.array_equal(got, want[a : a + len(got)]), (size, a)
+            a += len(got)
+        assert a == N, size
 
 
-@pytest.mark.parametrize("n,q", [(3, 3), (3, 4)])
-def test_point_rows_edge_and_random_ranges_match_the_stream(n, q):
-    # runs of Q^s rows: ends on and next to multiples of Q^s inside each
-    # pivot block, single rows, empty ranges, ranges across pivot blocks
-    ctx = make_field(q)
-    Q = ctx.order
-    want = _stream(n, ctx)
-    N = len(want)
-    offs = projgeom._rank_offsets(n, Q)
-    ends = {0, N}
-    for k in range(n + 1):
-        for s in range(1, n - k + 1):
-            for m in range(0, Q ** (n - k) + 1, Q**s):
-                ends.update(offs[k] + m + d for d in (-1, 0, 1))
-    ends = np.array(sorted(e for e in ends if 0 <= e <= N))
-    rng = np.random.default_rng(5)
-    ranges = [(e, e) for e in ends] + [(e, e + 1) for e in ends if e < N]
-    ranges += np.sort(rng.choice(ends, size=(300, 2)), axis=1).tolist()
-    ranges += np.sort(rng.integers(0, N + 1, size=(200, 2)), axis=1).tolist()
-    assert any(a < offs[1] < offs[2] < b for a, b in ranges)
-    for a, b in ranges:
-        got = point_rows(n, ctx, a, b)
-        assert got.shape == (b - a, n + 1)
-        assert np.array_equal(got, want[a:b]), (a, b)
-
-
-def test_point_rows_at_4_7_are_canonical_and_ranked_in_order():
-    # oracle independent of point_rows: row i has rank a + i, and its first
-    # nonzero coordinate is 1
+def test_point_array_at_4_7_is_canonical_and_ranked_in_order():
+    # oracle independent of the grid walk, over the whole array a slice at a
+    # time: row i has rank i, and its first nonzero coordinate is 1
     ctx = make_field(7)
+    arr = point_array(4, ctx)
     N = num_points(4, 7)
-    rng = np.random.default_rng(7)
-    starts = rng.integers(0, N, size=12).tolist() + [0, 49**4 - 1, N - 50]
-    for a in starts:
-        b = min(N, a + int(rng.integers(1, 200_000)))
-        rows = point_rows(4, ctx, a, b)
-        assert rows.shape == (b - a, 5)
-        assert np.array_equal(point_rank_array(rows, ctx), np.arange(a, b))
+    assert arr.shape == (N, 5)
+    step = 1 << 20
+    for a in range(0, N, step):
+        rows = arr[a : a + step]
+        assert np.array_equal(point_rank_array(rows, ctx), np.arange(a, a + len(rows))), a
         lead = rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)]
-        assert (lead == 1).all()
+        assert (lead == 1).all(), a
 
 
 def scalar_dots(m, ctx, pts):

@@ -46,7 +46,14 @@ from hermvar.search import (
     random_cubic_sample,
     report_json,
 )
-from oracles import _pencil_kinds, _section_profile, axis_counts, dual_gram_keys, pencil_scan_enum
+from oracles import (
+    _pencil_kinds,
+    _section_profile,
+    axis_counts,
+    dual_gram_keys,
+    evaluate_poly,
+    pencil_scan_enum,
+)
 
 
 def test_gaussian_binomial():
@@ -982,7 +989,7 @@ def test_zero_counts_match_scalar_count(n, q, data):
     # cubic batches, column classes and grids down to one column: the
     # counts equal a scalar evaluate_poly count over U_n
     from hermvar import search
-    from hermvar.cubics import evaluate_poly, make_hypersurface, monomial_exponents
+    from hermvar.cubics import make_hypersurface, monomial_exponents
 
     ctx = make_field(q)
     Q = ctx.order
@@ -1051,12 +1058,12 @@ def test_random_cubic_sample_never_scans_projective_space(monkeypatch):
     assert got.stages["prefixes"] == num_points(3, 3)
 
 
-def test_random_cubic_screen_needs_no_scalar_algebra(monkeypatch):
+def test_random_cubic_screen_needs_no_scalar_algebra():
     # the linear-factor screen restricts to a coordinate plane by selecting
-    # monomials and finds no base point: with the scalar evaluation and the
-    # restriction to a basis unavailable, the job gives the same report, and
-    # so does the screen of a product of three hyperplanes
-    from hermvar import cubics
+    # monomials and finds no base point, so the library keeps no scalar
+    # evaluation or restriction to a basis for it: the job's report repeats
+    # run to run, and the screen of a product of three hyperplanes finds the
+    # first canonical factor
     from hermvar.cubics import expand_product, linear_factor
     from hermvar.projgeom import Hyperplane
 
@@ -1064,12 +1071,6 @@ def test_random_cubic_screen_needs_no_scalar_algebra(monkeypatch):
     ctx = make_field(7)
     hyps = [Hyperplane((0, 1, 3, 0, 2)), Hyperplane((1, 0, 0, 5, 0)), Hyperplane((0, 0, 1, 4, 4))]
     product = expand_product(hyps, ctx)
-
-    def no_scalar(*args):
-        raise AssertionError("the screen ran scalar polynomial algebra")
-
-    monkeypatch.setattr(cubics, "evaluate_poly", no_scalar)
-    monkeypatch.setattr(cubics, "restrict_poly", no_scalar)
     got = random_cubic_sample(4, 7, trials=12, seed=5)
     assert got.to_json_dict() == want.to_json_dict()
     assert linear_factor(product, ctx) == hyps[1]

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -54,6 +55,38 @@ def test_traced_run_names_resolve():
     for mod, name in pairs:
         module = importlib.import_module(f"hermvar.{mod}")
         assert callable(getattr(module, name, None)), f"hermvar.{mod}.{name}"
+
+
+def test_timed_run_calls_resolve():
+    # the timed benchmark run, the one the benchmark's metrics come from,
+    # calls the library through module attributes (search.X(...)): each
+    # must still exist and accept the positional count and keywords passed
+    calls = []
+    for name in ("workloads.py", "runner.py", "setup_probe.py"):
+        tree = ast.parse((ROOT / "perfbench" / name).read_text())
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update((a.asname or a.name, a.name) for a in node.names if a.name == "hermvar")
+            elif isinstance(node, ast.ImportFrom) and node.module == "hermvar":
+                modules.update((a.asname or a.name, f"hermvar.{a.name}") for a in node.names)
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and func.value.id in modules
+            ):
+                assert not any(isinstance(a, ast.Starred) for a in node.args), (name, func.attr)
+                kws = [k.arg for k in node.keywords]
+                assert None not in kws, (name, func.attr)
+                calls.append((name, modules[func.value.id], func.attr, len(node.args), kws))
+    assert {"workers", "trials", "seed"} <= {k for *_, kws in calls for k in kws}
+    for name, mod, attr, nargs, kws in calls:
+        fn = getattr(importlib.import_module(mod), attr, None)
+        assert callable(fn), (name, f"{mod}.{attr}")
+        inspect.signature(fn).bind(*[None] * nargs, **dict.fromkeys(kws))
 
 
 def test_import_loads_no_third_party_package_but_numpy():
