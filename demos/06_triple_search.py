@@ -7,7 +7,7 @@ its three unitary orbits.
 from hermvar import exhaustive_triples
 from hermvar.search import pencil_triples_scan
 
-rep = exhaustive_triples(4, 2, verify_samples=500)
+rep = exhaustive_triples(4, 2)
 print(f"(4,2): {rep.total_triples:,} triples in {rep.wall_time_s:.1f}s")
 print(f"  global max {rep.global_max} vs formula max {rep.max_formula_value} "
       f"(reached: {rep.reaches_formula_max})")

@@ -18,17 +18,12 @@ import csv
 from dataclasses import dataclass
 
 from .errors import OutOfRange
-from .hermitian import hyperplane_section_counts, nondegenerate_count
+from .hermitian import count_points_formula, hyperplane_section_counts, nondegenerate_count
 
 
 def _require(n, minimum=4):
     if n < minimum:
         raise OutOfRange(f"n={n} below {minimum}")
-
-
-def parity_delta(n):
-    """0 for even n, 1 for odd n."""
-    return n % 2
 
 
 def quadric_bound_rec(n, q):
@@ -44,13 +39,14 @@ def quadric_bound_rec(n, q):
 
 
 def quadric_bound_closed(n, q):
-    """Closed form: q^(2n-8) * seed + sum_{i=n-2}^{2n-7} q^i + 2*delta*q^(n-3)."""
+    """Closed form: q^(2n-8) * seed + sum_{i=n-2}^{2n-7} q^i + 2*delta*q^(n-3),
+    delta = n mod 2."""
     _require(n)
     seed = q**5 + q**4 + 4 * q**3 - 3 * q + 1
     return (
         q ** (2 * n - 8) * seed
         + sum(q**i for i in range(n - 2, 2 * n - 6))
-        + 2 * parity_delta(n) * q ** (n - 3)
+        + 2 * (n % 2) * q ** (n - 3)
     )
 
 
@@ -81,18 +77,10 @@ def cubic_bound_closed(n, q):
 
 def cone_counts(n, q):
     """Counts of the three codimension-2 section shapes of the variety in
-    P^n: (non-degenerate base, point-vertex cone, line-vertex cone)."""
+    P^n: (non-degenerate base, point-vertex cone, line-vertex cone), the
+    rank n - 1, n - 2 and n - 3 varieties in P^(n-2)."""
     _require(n)
-    d = q * q - 1
-    if n % 2 == 0:
-        u = (q ** (2 * n - 3) - q ** (n - 1) + q ** (n - 2) - 1) // d
-        cone0 = (q ** (2 * n - 3) + q**n - q ** (n - 1) - 1) // d
-        cone1 = (q ** (2 * n - 3) - q ** (n + 1) + q**n - 1) // d
-    else:
-        u = (q ** (2 * n - 3) + q ** (n - 1) - q ** (n - 2) - 1) // d
-        cone0 = (q ** (2 * n - 3) - q**n + q ** (n - 1) - 1) // d
-        cone1 = (q ** (2 * n - 3) + q ** (n + 1) - q**n - 1) // d
-    return u, cone0, cone1
+    return tuple(count_points_formula(n - 2, q, r) for r in (n - 1, n - 2, n - 3))
 
 
 def max_section_bound(n, q):

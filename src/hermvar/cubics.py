@@ -30,8 +30,10 @@ from .hermitian import (
     DEFAULT_POINT_BUDGET,
     classify_hyperplanes,
     classify_section,
+    count_points_formula,
     eval_form_at,
     form_scan,
+    hyperplane_section_counts,
     nondegenerate_count,
     section_count,
 )
@@ -40,7 +42,6 @@ from .projgeom import (
     LinearSubspace,
     combine_rows,
     enumerate_hyperplanes,
-    incidence_blocks,
     intersect_hyperplanes,
     normalize_rows,
     nullspace,
@@ -367,9 +368,8 @@ def max_cubic_intersection(n, q):
     (165 > 117 at n=4)."""
     if n < 4:
         raise OutOfRange(f"n={n} must be >= 4")
-    if n % 2 == 0:
-        return 3 * nondegenerate_count(n - 1, q) - 2 * nondegenerate_count(n - 2, q)
-    return (3 * q * q - 2) * nondegenerate_count(n - 2, q) + 3
+    tangent, non_tangent = hyperplane_section_counts(n, q)
+    return 3 * (non_tangent if n % 2 == 0 else tangent) - 2 * nondegenerate_count(n - 2, q)
 
 
 def all_tangent_pencil_value(n, q):
@@ -377,7 +377,7 @@ def all_tangent_pencil_value(n, q):
     section, for even n; always below max_cubic_intersection."""
     if n < 4 or n % 2:
         raise OutOfRange(f"n={n} must be even and >= 4")
-    val = (q ** (2 * n - 3) * (3 * q * q - 2) - q**n * (q - 1) - 1) // (q * q - 1)
+    val = 3 * hyperplane_section_counts(n, q)[0] - 2 * count_points_formula(n - 2, q, n - 3)
     assert val < max_cubic_intersection(n, q)
     return val
 
@@ -465,22 +465,21 @@ def _line_counts(zeros, ctx):
 
     Every line but the last, e_2, is (a_0, a_1, c) for a prefix (a_0, a_1),
     a row of point_array(1, ctx), and c in index order, so line i has
-    prefix i // Q and c = i % Q.  One incidence_blocks pass gives the dot
-    values V of the Q + 1 prefixes with the zeros' first two coordinates.
+    prefix i // Q and c = i % Q.  The prefixes are (1, t) for each t, then
+    (0, 1), so the dot values V of the Q + 1 prefixes with the zeros' first
+    two coordinates are z_0 + t z_1 for each t, then z_1: one broadcast.
     A zero with z_2 != 0 lies on exactly one line of each prefix, at
     c = -V / z_2, so those counts are one bincount; a zero with z_2 = 0
     lies on every line of a prefix where V = 0 and on none of the others,
     and on e_2."""
     Q = ctx.order
-    z2 = zeros[:, 2]
+    z0, z1, z2 = zeros.T
+    V = np.vstack((ctx.add_table[z0, ctx.mul_table[:, z1]], z1))
     off = z2 != 0
-    inv = ctx.inv_table[z2[off]]
-    hits, whole = [], np.zeros(Q + 1, dtype=np.int64)
-    for a, b, V in incidence_blocks(1, zeros[:, :2], ctx):
-        c = ctx.mul_table[ctx.neg_table[V[:, off]], inv]
-        hits.append((np.arange(a * Q, b * Q, Q)[:, None] + c).ravel())
-        whole[a:b] = np.count_nonzero(V[:, ~off] == 0, axis=1)
-    counts = np.bincount(np.concatenate(hits), minlength=Q * (Q + 1)) + np.repeat(whole, Q)
+    c = ctx.mul_table[ctx.neg_table[V[:, off]], ctx.inv_table[z2[off]]]
+    hits = np.arange(0, (Q + 1) * Q, Q)[:, None] + c
+    whole = np.count_nonzero(V[:, ~off] == 0, axis=1)
+    counts = np.bincount(hits.ravel(), minlength=Q * (Q + 1)) + np.repeat(whole, Q)
     return np.append(counts, len(zeros) - np.count_nonzero(off))
 
 

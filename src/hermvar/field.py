@@ -208,8 +208,8 @@ class FieldCtx:
         """Plain bilinear dot product sum(u_i v_i), no conjugation."""
         acc = 0
         for a, b in zip(u, v):
-            acc = self.add_table[acc, self.mul_table[a, b]]
-        return int(acc)
+            acc = self._add[acc][self._mul[a][b]]
+        return acc
 
     def elements(self):
         return range(self.order)

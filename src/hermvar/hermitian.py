@@ -82,10 +82,7 @@ def standard_form(n, ctx):
     """The non-degenerate canonical form: H = identity."""
     if n < 0:
         raise OutOfRange(f"n={n} must be >= 0")
-    H = tuple(
-        tuple(1 if i == j else 0 for j in range(n + 1)) for i in range(n + 1)
-    )
-    return HermitianForm(H, n, ctx)
+    return padded_standard_form(n + 1, n, ctx)
 
 
 def padded_standard_form(r, n, ctx):
@@ -233,8 +230,6 @@ def eval_form_at(f, pts):
             if H[i][j]:
                 t = ctx.vmul(x, ctx.vscale(H[i][j], ctx.vfrob(cols[j])))
                 terms.append(ctx.trace_table.take(t))
-    if not terms:
-        return np.zeros(np.broadcast_shapes(*(np.shape(x) for x in cols)), dtype=np.uint8)
     return functools.reduce(ctx.vadd, sorted(terms, key=np.size))
 
 

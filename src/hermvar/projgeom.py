@@ -78,9 +78,9 @@ def num_points(n, q):
 
 
 def hyperplanes_through_count(n, q):
-    """Number of hyperplanes of P^n through a fixed point."""
-    Q = q * q
-    return (Q**n - 1) // (Q - 1)
+    """Number of hyperplanes of P^n through a fixed point: as many as the
+    points of P^(n-1)."""
+    return num_points(n - 1, q)
 
 
 def enumerate_points(n, ctx):

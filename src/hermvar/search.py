@@ -53,6 +53,7 @@ from .hermitian import (
     DEFAULT_POINT_BUDGET,
     SectionType,
     hyperplane_section_counts,
+    nondegenerate_count,
     section_count,
     standard_form,
     tangent_hyperplanes,
@@ -69,6 +70,7 @@ from .projgeom import (
 
 _MEMO_CELL_LIMIT = 50_000_000  # plane x hyperplane table entries
 _ARGMAX_LIMIT = 1000  # argmax arrangements listed in a triple-search report
+_VERIFY_SAMPLES = 1000  # random triples a triple search checks three ways
 _EVAL_CHUNK_BYTES = 16 << 20  # working set of the random-cubic evaluation
 # M * K * N of one float32 product of that evaluation.  OpenBLAS splits a
 # product of M K N >= 2^19 across its threads (above 10^6 where it has an
@@ -199,8 +201,6 @@ def hyperplane_tangency(n, q):
 
 @dataclass
 class _Geometry:
-    n: int
-    q: int
     N: int
     Z: np.ndarray  # bit-packed hyperplane x variety-point incidence
     tangent: np.ndarray  # per-hyperplane tangency, also U_n's point mask
@@ -243,7 +243,7 @@ def build_geometry(n, q, budget=DEFAULT_POINT_BUDGET):
     t3 = time.time()
     planes = dual_line_catalog(n, make_field(q))
     stages.update(catalog_s=time.time() - t3, pencils=len(planes))
-    return _Geometry(n, q, len(Z), Z, tangent, S, planes, stages)
+    return _Geometry(len(Z), Z, tangent, S, planes, stages)
 
 
 # -- exhaustive triple search -------------------------------------------------
@@ -293,13 +293,7 @@ class SearchReport:
         return _json_fields(self, "triple_search")
 
 
-def exhaustive_triples(
-    n,
-    q,
-    budget=DEFAULT_POINT_BUDGET,
-    seed=0,
-    verify_samples=1000,
-):
+def exhaustive_triples(n, q, budget=DEFAULT_POINT_BUDGET, seed=0):
     """Exact maximum of |union of three hyperplanes meet variety| over all
     unordered triples, with full histogram and re-verified argmax list.
     The report's `stages` holds build_geometry's stages and the wall time
@@ -388,7 +382,7 @@ def exhaustive_triples(
     t4 = time.time()
     rng = np.random.default_rng(seed)
     verified = 0
-    for _ in range(verify_samples):
+    for _ in range(_VERIFY_SAMPLES):
         i, j, k = sorted(int(x) for x in rng.choice(N, size=3, replace=False))
         internal = int(triple_count(i, j, k, (Zu[i] & Zu[j] & Zu[k]).sum()))
         rep = intersect_count_arrangement(arrangement(hyps(i, j, k), f), f)
@@ -871,15 +865,16 @@ def random_cubic_sample(
     accepted and ignored.  The report's `stages` holds the wall time of the
     linear-factor screen, the block set-up (walk_s) and the rest of the
     evaluation, and the counts of prefixes, points of U_n, trials batched
-    and contraction passes (chunks)."""
+    and contraction passes (chunks).  The budget gates |U_n|, the points
+    evaluated per cubic, which stages["points"] counts."""
     if trials < 0:
         raise OutOfRange(f"trials={trials} must be >= 0")
     threshold = cubic_bound_closed(n, q)
     t0 = time.time()
     ctx = make_field(q)
-    N = num_points(n, q)
-    if N > budget:
-        raise BudgetExceeded(N, budget)
+    points = nondegenerate_count(n, q)
+    if points > budget:
+        raise BudgetExceeded(points, budget)
     kept, discarded = {}, []
     for t in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence((seed, t)))

@@ -194,7 +194,7 @@ def test_criterion_5_extremal(n, q, want):
 
 
 def test_criterion_6_exhaustive_triples():
-    rep = exhaustive_triples(4, 2, verify_samples=1000, seed=42)
+    rep = exhaustive_triples(4, 2, seed=42)
     # C(341,3) by the binomial-coefficient oracle (= 6,550,610)
     assert rep.total_triples == math.comb(341, 3)
     assert sum(rep.histogram.values()) == rep.total_triples
@@ -222,6 +222,23 @@ def test_criterion_7_random_cubics_q7():
             print(f"counterexample candidate: {e}")
     assert not rep.exceedances, "a random cubic exceeded the split threshold"
     report(f"[criterion 7] PASS: 200 random cubics at (4,7) (retained "
+           f"{rep.retained}) all meet the variety in <= {rep.threshold} "
+           f"points (max seen {rep.max_count})")
+
+
+@pytest.mark.parametrize(
+    "q,trials", [(8, 20), (9, 20), (11, 20), (13, 10)], ids=["q8", "q9", "q11", "q13"]
+)
+def test_criterion_7_random_cubics_beyond_q7(q, trials):
+    # the paper's range is q >= 7: characteristic 2 (q = 8) and 3 (q = 9)
+    # change which cubics are cubes or additive, and (4,13) is the largest
+    # admitted q
+    rep = random_cubic_sample(4, q, trials=trials, seed=20260811)
+    assert rep.threshold == cubic_bound_closed(4, q) and rep.threshold_asserted
+    assert rep.retained + len(rep.discarded_divisible) == trials
+    assert rep.stages["points"] == nondegenerate_count(4, q)
+    assert not rep.exceedances, f"a random cubic exceeded the split threshold: {rep.exceedances}"
+    report(f"[criterion 7] PASS: {trials} random cubics at (4,{q}) (retained "
            f"{rep.retained}) all meet the variety in <= {rep.threshold} "
            f"points (max seen {rep.max_count})")
 

@@ -69,6 +69,21 @@ def test_cone_counts_values():
     assert cone_counts(5, 2) == (45, 37, 53)
 
 
+def cone_counts_closed(n, q):
+    """(base, point-vertex cone, line-vertex cone) counts, as closed forms
+    in q for each parity of n."""
+    d = q * q - 1
+    if n % 2 == 0:
+        u = (q ** (2 * n - 3) - q ** (n - 1) + q ** (n - 2) - 1) // d
+        cone0 = (q ** (2 * n - 3) + q**n - q ** (n - 1) - 1) // d
+        cone1 = (q ** (2 * n - 3) - q ** (n + 1) + q**n - 1) // d
+    else:
+        u = (q ** (2 * n - 3) + q ** (n - 1) - q ** (n - 2) - 1) // d
+        cone0 = (q ** (2 * n - 3) - q**n + q ** (n - 1) - 1) // d
+        cone1 = (q ** (2 * n - 3) + q ** (n + 1) - q**n - 1) // d
+    return u, cone0, cone1
+
+
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("n", [4, 5])
 def test_cone_counts_match_formula_and_enumeration(n, q):
@@ -77,6 +92,10 @@ def test_cone_counts_match_formula_and_enumeration(n, q):
     assert u == count_points_formula(m, q, m + 1)
     assert cone0 == count_points_formula(m, q, m)
     assert cone1 == count_points_formula(m, q, m - 1)
+    # the parity-split closed forms in q, at every n in 4..13 and every q
+    for qq in PRIME_POWERS:
+        for nn in range(4, 14):
+            assert cone_counts(nn, qq) == cone_counts_closed(nn, qq), (nn, qq)
     # enumeration: collect the counts that actually occur for codim-2 sections
     import numpy as np
 

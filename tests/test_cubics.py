@@ -420,6 +420,9 @@ def test_method_equivalence_random_triples(q, trials):
         assert rep.count == int(np.count_nonzero(union & mask))
 
 
+ADMITTED_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13)
+
+
 def test_max_cubic_intersection_values():
     assert max_cubic_intersection_alias(4, 2) == 117
     assert max_cubic_intersection_alias(5, 2) == 453
@@ -427,6 +430,14 @@ def test_max_cubic_intersection_values():
     assert max_cubic_intersection_alias(4, 7) == 50912
     with pytest.raises(OutOfRange):
         max_cubic_intersection_alias(3, 2)
+    # the paper's two closed forms, against the pencil rule of the library
+    for q in ADMITTED_Q:
+        for n in range(4, 14):
+            if n % 2 == 0:
+                want = 3 * nondegenerate_count(n - 1, q) - 2 * nondegenerate_count(n - 2, q)
+            else:
+                want = (3 * q * q - 2) * nondegenerate_count(n - 2, q) + 3
+            assert max_cubic_intersection_alias(n, q) == want, (n, q)
 
 
 def max_cubic_intersection_alias(n, q):
@@ -444,6 +455,11 @@ def test_all_tangent_pencil_value():
             assert all_tangent_pencil_value(n, q) < max_cubic_intersection_alias(n, q)
     with pytest.raises(OutOfRange):
         all_tangent_pencil_value(5, 2)
+    # the closed form in q, against the pencil rule of the library
+    for q in ADMITTED_Q:
+        for n in range(4, 14, 2):
+            want = (q ** (2 * n - 3) * (3 * q * q - 2) - q**n * (q - 1) - 1) // (q * q - 1)
+            assert all_tangent_pencil_value(n, q) == want, (n, q)
 
 
 def test_build_extremal_odd_q2():
@@ -652,22 +668,24 @@ def test_linear_factor_refuses_forms_without_a_plane(monkeypatch):
         linear_factor(plane, ctx)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
 def test_line_counts_match_all_lines_count(q):
     # the per-prefix count against the count over every line of P^2, on
     # random sets of points, sets with several points on x_2 = 0, the
-    # whole line x_2 = 0, all of P^2 and no point
+    # whole line x_2 = 0 and no point; on all of P^2 every line holds
+    # q^2 + 1 points
     ctx = make_field(q)
     pts = point_array(2, ctx)
     on_x2 = np.flatnonzero(pts[:, 2] == 0)
     rng = np.random.default_rng(40 + q)
     sets = [rng.choice(len(pts), size=k, replace=False) for k in (1, 5, ctx.order + 1, 3 * ctx.order)]
     sets += [np.union1d(s, rng.choice(on_x2, size=min(4, len(on_x2)), replace=False)) for s in sets]
-    sets += [on_x2, np.arange(len(pts)), np.arange(0)]
+    sets += [on_x2, np.arange(0)]
     for rows in sets:
         zeros = pts[np.sort(rows)]
         got = _line_counts(zeros, ctx)
         assert got.dtype == np.int64 and np.array_equal(got, line_counts_all(zeros, ctx)), len(rows)
+    assert np.array_equal(_line_counts(pts, ctx), np.full(len(pts), ctx.order + 1))
 
 
 def ternary_cubic_cases(ctx, rng):

@@ -253,7 +253,7 @@ def test_build_geometry_totals():
 
 @pytest.fixture(scope="module")
 def triples_4_2():
-    """exhaustive_triples(4, 2) with 300 samples, and the number of
+    """exhaustive_triples(4, 2) with its 1000 samples, and the number of
     arrangement() calls it made."""
     from hermvar import search
 
@@ -265,7 +265,7 @@ def triples_4_2():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(search, "arrangement", counted)
-        rep = exhaustive_triples(4, 2, verify_samples=300, seed=3)
+        rep = exhaustive_triples(4, 2, seed=3)
     return rep, len(calls)
 
 
@@ -281,14 +281,14 @@ def test_exhaustive_triples_n4_q2(triples_4_2):
     assert rep.max_formula_value == 117
     assert rep.reaches_formula_max is False
     assert rep.argmax_total == rep.histogram[rep.global_max] == 14080
-    assert rep.samples_verified == 300
+    assert rep.samples_verified == 1000
     assert set(rep.argmax_structure) == {"U1|non_tangent,non_tangent,non_tangent"}
     assert len(rep.argmax_arrangements) <= 1000
     first = rep.argmax_arrangements[0]
     assert first["count"] == 111 and len(first["covectors"]) == 3
     # build_geometry's stages and the search's own pass, not serialized
     stages = rep.stages
-    assert stages["pencils"] == 5797 and stages["samples"] == 300
+    assert stages["pencils"] == 5797 and stages["samples"] == 1000
     for key in ("catalog_s", "products_s", "loop_s", "labels_s", "samples_s"):
         assert stages[key] >= 0
     assert "stages" not in rep.to_json_dict()
@@ -309,7 +309,7 @@ def test_exhaustive_triples_classifies_only_first_of_each_label(triples_4_2):
     # one arrangement() per argmax label (one label at (4,2)) and one per
     # sample, not one per argmax triple (14,080)
     rep, calls = triples_4_2
-    assert calls <= len(rep.argmax_structure) + rep.samples_verified == 301
+    assert calls <= len(rep.argmax_structure) + rep.samples_verified == 1001
 
 
 def admitted_q():
@@ -1036,6 +1036,25 @@ def test_zero_counts_of_the_extremal_product():
     C = expand_product(list(arr.hyperplanes), ctx)
     stages = dict(walk_s=0.0, prefixes=0, points=0, chunks=0)
     assert search._zero_counts([C], 4, ctx, stages).tolist() == [max_cubic_intersection(4, 7)]
+
+
+def test_random_cubic_sample_budget_counts_variety_points(monkeypatch):
+    # the budget gates the points of U_n that are evaluated, not P^n:
+    # (4,13) has 820,586,261 points but U_4 only 63,119,980, so it runs at
+    # the default budget, and one point less refuses before any trial
+    from hermvar import search
+
+    rep = random_cubic_sample(4, 13, 2, seed=0)
+    assert rep.stages["points"] == nondegenerate_count(4, 13) == 63_119_980
+    assert num_points(4, 13) > search.DEFAULT_POINT_BUDGET
+
+    def no_trial(*args):
+        raise AssertionError("trial screened or evaluated over budget")
+
+    monkeypatch.setattr(search, "linear_factor", no_trial)
+    monkeypatch.setattr(search, "_zero_counts", no_trial)
+    with pytest.raises(BudgetExceeded, match="63,119,980"):
+        random_cubic_sample(4, 13, 2, seed=0, budget=63_119_979)
 
 
 def test_random_cubic_sample_never_scans_projective_space(monkeypatch):

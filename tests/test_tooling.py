@@ -151,12 +151,13 @@ def test_private_names_are_used_in_the_package():
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
-def test_demo_runs(demo):
-    # each demo is a script against the public API, asserting as it goes
+def test_demo_runs(demo, tmp_path):
+    # each demo is a script against the public API, asserting as it goes;
+    # it runs in a scratch directory, since demo 04 writes a CSV there
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / demo)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=env, capture_output=True, text=True, timeout=120, cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
 
