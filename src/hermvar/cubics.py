@@ -185,8 +185,8 @@ def eval_poly_at(C, pts, ctx):
     35 vscale and 34 vadd): the per-point oracle, which the enumerations of
     lines, planes and hyperplanes call.  intersect_count_enum does not call
     it: it passes C's parts C_k and the broadcastable columns of a prefix
-    grid to the same _horner, and tests a form key's zeros together with
-    one gather of a lam table (see _top_table)."""
+    grid to the same _horner, and tests every prefix at its key's i-th zero
+    lam with one take of a lam table per zero index (see _top_table)."""
     cols = [np.ascontiguousarray(pts[:, i]) for i in range(C.n + 1)]
     return _horner(C.monomials, cols, ctx)
 
@@ -236,13 +236,14 @@ def intersect_count_enum(C, f, budget=DEFAULT_POINT_BUDGET):
     columns (the zeros before the pivot, the pivot's 1, a lone run's leading
     digits) put in (_substitute), is evaluated by _horner on the columns, so
     its terms in the last coordinates are summed on sub-grids before they
-    are spread over the grid.  A grid's prefixes are sorted by form key, and
-    all prefixes of one key share its zeros lam, a row of form_scan's
-    table.  C at (p, lam) is TT[lam, w(p)] + R(p, lam), with TT
-    from _top_table, w = C_{d-1} * Q + C_{d-2} and R = sum_{k<d-2} lam^k
-    C_k(p) (C_0 at d = 3, 0 below), so a key's group of prefixes is tested
-    at its zeros with one (zeros x prefixes) gather of TT.  e_n is a zero
-    iff H[n][n] = 0, and lies on C iff C has no x_n^d term."""
+    are spread over the grid.  A prefix's zeros lam are its key's row of
+    form_scan's table, A + Tr(lam b) + h N(lam) = 0: a norm fibre of 0, 1,
+    q, q + 1 or q^2 points (Bose & Chakravarti 1966), so each prefix tests
+    its key's i-th zero for every i below the grid's largest zero count.
+    C at (p, lam) is TT[w(p) * Q + lam] + R(p, lam), with TT the transposed
+    _top_table, w = C_{d-1} * Q + C_{d-2} and R = sum_{k<d-2} lam^k C_k(p)
+    (C_0 at d = 3, 0 below).  e_n is a zero iff H[n][n] = 0, and lies on C
+    iff C has no x_n^d term."""
     ctx, n, d = f.ctx, f.n, C.degree
     Q = ctx.order
     top = dict(C.monomials).get((0,) * n + (d,), 0)  # C_d, the value at e_n
@@ -250,32 +251,29 @@ def intersect_count_enum(C, f, budget=DEFAULT_POINT_BUDGET):
     for exp, c in C.monomials:
         parts.setdefault(exp[n], []).append((exp[:n], c))
     T, chunks = form_scan(f, budget)
-    TT = _top_table(top, d, ctx)
-    zl, lams = np.nonzero(T == 0)  # each key's zeros, keys ascending
-    bounds = np.searchsorted(zl, np.arange(Q * Q + 1))
+    TT = _top_table(top, d, ctx).T.ravel()
+    nz = np.count_nonzero(T == 0, axis=1)  # each key's zero count
+    zl = np.ascontiguousarray(np.argsort(T != 0, axis=1, kind="stable").T, dtype=np.uint8)
     count = int(f.matrix[n][n] == 0 and top == 0)
     for cols, key in chunks:
-        order = np.argsort(key.ravel(), kind="stable")
-
-        def on_grid(a):  # a grid array, in the sorted prefix order
-            return np.broadcast_to(a, key.shape).ravel()[order]
-
         fixed = {j: int(c.item()) for j, c in enumerate(cols) if c.size == 1}
         Ck = [_horner(_substitute(parts.get(k, ()), fixed, ctx), cols, ctx) for k in range(d)]
-        w = on_grid(np.asarray(Ck[d - 1], dtype=np.intp) * Q + (Ck[d - 2] if d >= 2 else 0))
-        Ck = [on_grid(c) for c in Ck[: max(d - 2, 0)]]
-        key = key.ravel()[order]
-        cuts = np.flatnonzero(key[1:] != key[:-1]) + 1
-        for s, e in zip(np.r_[0, cuts], np.r_[cuts, len(key)]):
-            k = int(key[s])
-            z = lams[bounds[k] : bounds[k + 1]]
-            if not len(z):
-                continue
-            zc = z[:, None]
-            R = Ck[d - 3][s:e] if d >= 3 else 0
-            for j in range(d - 4, -1, -1):
-                R = ctx.add_table[ctx.mul_table[zc, R], Ck[j][s:e]]
-            count += int(np.count_nonzero(TT[zc, w[s:e]] == ctx.neg_table[R]))
+        w = (np.asarray(Ck[d - 1], dtype=np.intp) * Q + (Ck[d - 2] if d >= 2 else 0)) * Q
+        w, *Ck = (np.broadcast_to(a, key.shape).ravel() for a in [w] + Ck[: max(d - 2, 0)])
+        key = key.ravel()
+        kz = nz[key]
+        if not kz.all():  # drop the prefixes whose key has no zero
+            w, key, kz, *Ck = [a[kz > 0] for a in [w, key, kz] + Ck]
+        neg = ctx.neg_table[Ck[0]] if d == 3 else 0  # -R; it depends on lam from d = 4
+        for i in range(kz.max(initial=0)):  # zl[i, key]: the key's i-th zero
+            lam = zl[i].take(key)
+            if d >= 4:
+                R = Ck[d - 3]
+                for j in range(d - 4, -1, -1):
+                    R = ctx.add_table[ctx.mul_table[lam, R], Ck[j]]
+                neg = ctx.neg_table[R]
+            hit = TT.take(w + lam) == neg
+            count += int(np.count_nonzero(hit & (i < kz)))
     return count
 
 
@@ -309,7 +307,6 @@ class Arrangement:
 @dataclass(frozen=True)
 class IntersectionReport:
     count: int
-    method: str  # always "inclusion_exclusion"
     breakdown: tuple  # (("per_hyperplane", (...)), ...) as sorted pairs
 
 
@@ -349,7 +346,7 @@ def intersect_count_arrangement(arr, f):
         ("per_pair", terms[1]),
         ("triple", terms[2][0]),
     )
-    return IntersectionReport(count, "inclusion_exclusion", breakdown)
+    return IntersectionReport(count, breakdown)
 
 
 # -- maxima and extremal configurations --------------------------------------
@@ -505,6 +502,17 @@ def _line_factors(R, ctx):
     return [L for L in covs if divides_linear(L, R, ctx)]
 
 
+def _coordinate_restriction(C, coords, ctx):
+    """C restricted to span(e_i : i in coords), a form in those coordinates
+    in their order: C's monomials in these variables alone."""
+    return make_hypersurface(
+        {tuple(e[i] for i in coords): c for e, c in C.monomials if sum(e[i] for i in coords) == C.degree},
+        len(coords) - 1,
+        C.degree,
+        ctx,
+    )
+
+
 def linear_factor(C, ctx):
     """First canonical hyperplane covector dividing C, or None.
 
@@ -515,11 +523,15 @@ def linear_factor(C, ctx):
     a selection of C's terms and never zero: that first monomial survives
     with its coefficient.  If L divides C, C = L G, then R = L|Pi G|Pi, so
     L|Pi is nonzero and its line b = (L_a, L_b, L_c) divides R.  So every
-    linear factor of C is, up to a scalar, b placed at a, b, c with every
-    other coordinate free, for a line factor b of R: a finite and small
-    family, whatever plane is used, and scanning it in canonical order with
-    divides_linear, the final test of every candidate, returns the first
-    canonical divisor of C.  When R has no line factor, C has none.
+    linear factor of C is, up to a scalar, b placed at a, b, c plus t_j at
+    each other coordinate j, for a line factor b of R.  The same argument
+    on span(Pi, e_j) lifts b one coordinate at a time: (b, t_j) divides C
+    restricted there, so of the q^2 values t_j only those whose (b, t_j)
+    does are kept, at most 3 for a cubic: distinct t_j give distinct linear
+    factors of that restriction, a nonzero cubic.  The products of the kept
+    values, scanned in canonical order with divides_linear, the final test
+    of every candidate, give the first canonical divisor of C.  When R has
+    no line factor, or a coordinate keeps no value, C has none.
 
     The plane needs a monomial with at most three variables, which every
     form of degree <= 3 has; a form with none (degree >= 4, for example
@@ -537,20 +549,28 @@ def linear_factor(C, ctx):
     support = [i for i in range(n + 1) if lead[i]]
     plane = sorted(support + [i for i in range(n + 1) if not lead[i]][: 3 - len(support)])
     free = [i for i in range(n + 1) if i not in plane]
-    R = make_hypersurface(
-        {tuple(e[i] for i in plane): c for e, c in C.monomials if not any(e[i] for i in free)},
-        2,
-        C.degree,
-        ctx,
-    )
-    line_factors = _line_factors(R, ctx)
+    line_factors = _line_factors(_coordinate_restriction(C, plane, ctx), ctx)
     if not line_factors:
         return None
-    grid = np.indices((ctx.order,) * len(free), dtype=np.uint8).reshape(len(free), -1).T
-    covs = np.empty((len(line_factors), len(grid), n + 1), dtype=np.uint8)
-    covs[:, :, plane] = np.array(line_factors, dtype=np.uint8)[:, None, :]
-    covs[:, :, free] = grid
-    covs = normalize_rows(covs.reshape(-1, n + 1), ctx)
+    subs = [sorted(plane + [j]) for j in free]
+    lifts = [(sub.index(j), _coordinate_restriction(C, sub, ctx)) for j, sub in zip(free, subs)]
+    t = np.arange(ctx.order, dtype=np.uint8)
+    covs = []
+    for b in line_factors:
+        kept = []  # per free coordinate, the values t_j whose (b, t_j) lifts
+        for pos, Cj in lifts:
+            rows = normalize_rows(np.insert(np.array([b] * len(t), dtype=np.uint8), pos, t, axis=1), ctx)
+            kept.append([int(v) for v, row in zip(t, rows) if divides_linear(tuple(row.tolist()), Cj, ctx)])
+            if not kept[-1]:
+                break
+        else:
+            block = np.empty((np.prod([len(k) for k in kept]), n + 1), dtype=np.uint8)
+            block[:, plane] = b
+            block[:, free] = list(itertools.product(*kept))
+            covs.append(block)
+    if not covs:
+        return None
+    covs = normalize_rows(np.concatenate(covs), ctx)
     for i in np.argsort(point_rank_array(covs, ctx)):
         cov = tuple(covs[i].tolist())
         if divides_linear(cov, C, ctx):

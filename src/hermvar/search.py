@@ -215,11 +215,11 @@ def _variety_incidence(n, q, budget):
     stage times and the number of dot values Z's kernel computed.  By
     self-duality one mask gives both U_n's points and its tangent
     hyperplanes.  S comes from the tangency and is asserted equal to the
-    popcounts of Z's rows."""
+    popcounts of Z's rows.  The budget gates Z's cells, N * |U_n|."""
     ctx = make_field(q)
-    N = num_points(n, q)
-    if N * N > budget:
-        raise BudgetExceeded(N * N, budget, what="incidence entries")
+    cells = num_points(n, q) * nondegenerate_count(n, q)
+    if cells > budget:
+        raise BudgetExceeded(cells, budget, what="incidence cells")
     t0 = time.time()
     tangent = hyperplane_tangency(n, q)
     upts = point_array(n, ctx)[tangent]

@@ -178,25 +178,47 @@ def test_intersect_count_enum_matches_scalar_scan(n, q, rank):
         assert intersect_count_enum(C, f) == want, (n, q, rank, C.monomials)
 
 
-def test_enum_scans_match_scalar_across_chunks(monkeypatch):
+# each form at n = 3, with the zero counts of the keys its scan of P^3(F_9)
+# meets: a key's row is a norm fibre of 0, 1, q, q + 1 or q^2 zeros
+CHUNK_FORMS = {
+    "standard": (lambda ctx, rng: standard_form(3, ctx), {1, 4}),
+    "rank3": (lambda ctx, rng: padded_standard_form(3, 3, ctx), {0, 9}),
+    "rank2": (lambda ctx, rng: padded_standard_form(2, 3, ctx), {0, 9}),
+    "general": (lambda ctx, rng: general_form(3, ctx, rng), {0, 3, 9}),
+    "congruent": (lambda ctx, rng: congruent_form(3, ctx, seed=0), {1, 4}),
+}
+
+
+@pytest.mark.parametrize("kind", list(CHUNK_FORMS))
+def test_enum_scans_match_scalar_across_chunks(monkeypatch, kind):
     # _CHUNK = 200 makes grids of at most ceil(200 / 9) = 23 prefixes, whole
     # runs of 9 that never cross a pivot block: of the 91 prefixes of
     # P^2(F_9), block 0's 81 in four grids of two runs and one of one, then
-    # block 1's 9 and block 2's one, for the 820 points of P^3(F_9) and the
-    # form's 280 zeros; most keys' prefixes are spread over several grids
+    # block 1's 9 and block 2's one, for the 820 points of P^3(F_9); most
+    # keys' prefixes are spread over several grids, a grid mixes keys of
+    # different zero counts, and under the rank-deficient forms some grids
+    # hold no zero at all
     monkeypatch.setattr("hermvar.hermitian._CHUNK", 200)
     ctx = make_field(3)
-    f = standard_form(3, ctx)
-    keys = [key for _, key in form_scan(f)[1]]
+    rng = np.random.default_rng(7)
+    make_form, zero_counts = CHUNK_FORMS[kind]
+    f = make_form(ctx, rng)
+    T, chunks = form_scan(f)
+    keys = [key for _, key in chunks]
     assert [key.shape for key in keys] == [(2, 9)] * 4 + [(1, 9)] * 2 + [(1,)]
     grids_of = collections.Counter(k for key in keys for k in set(key.ravel().tolist()))
     assert sum(c > 1 for c in grids_of.values()) >= 2
-    rng = np.random.default_rng(7)
+    zeros = np.count_nonzero(T == 0, axis=1)
+    assert set(zeros[np.concatenate([key.ravel() for key in keys])].tolist()) == zero_counts
+    assert any(len(set(zeros[key.ravel()].tolist())) > 1 for key in keys)
+    assert any(not zeros[key].any() for key in keys) == kind.startswith("rank")
     points = [P for P in enumerate_points(3, ctx) if evaluate(f, P) == 0]
-    assert count_points_enum(f) == len(points) == nondegenerate_count(3, 3)
+    assert count_points_enum(f) == len(points)
+    if kind in ("standard", "congruent"):
+        assert len(points) == nondegenerate_count(3, 3)
     cubics = [random_hypersurface(3, 3, ctx, rng) for _ in range(3)]
     cubics += [expand_product(random_triple(3, ctx, rng), ctx) for _ in range(2)]
-    for C in cubics:
+    for C in cubics + enum_polys(3, ctx, rng):
         want = sum(evaluate_poly(C, P.coords, ctx) == 0 for P in points)
         assert intersect_count_enum(C, f) == want, C.monomials
 
@@ -327,7 +349,6 @@ def test_pencil_triple_count_odd_case():
     assert arr.tangency == ("tangent",) * 3
     rep = intersect_count_arrangement(arr, f)
     assert rep.count == 3 * (4 * 45 + 1) - 2 * 45 == 453
-    assert rep.method == "inclusion_exclusion"
 
 
 def arrangement_kind(f, h):
@@ -647,6 +668,27 @@ def test_linear_factor_matches_trial_division(n):
 
     check()
     assert seen == set(planes)
+
+
+def test_linear_factor_lifts_one_coordinate_at_a_time(monkeypatch):
+    # x0 x1 x2 + x3^3 + 2 x4^3 + 3 x2 x3 x4 at (4,7) has no linear factor,
+    # but its plane restriction x0 x1 x2 has three line factors, none of
+    # which lifts; the lifts try q^2 values per line factor and free
+    # coordinate and keep at most 3, so at most 3 (n - 2) q^2 + 3^(n - 1) =
+    # 321 divides_linear calls
+    ctx = make_field(7)
+    C = make_hypersurface(
+        {(1, 1, 1, 0, 0): 1, (0, 0, 0, 3, 0): 1, (0, 0, 0, 0, 3): 2, (0, 0, 1, 1, 1): 3}, 4, 3, ctx
+    )
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return divides_linear(*args)
+
+    monkeypatch.setattr(cubics_mod, "divides_linear", counted)
+    assert linear_factor(C, ctx) is None
+    assert len(calls) <= 3 * (4 - 2) * 49 + 3 ** 3 == 321
 
 
 def test_linear_factor_refuses_forms_without_a_plane(monkeypatch):

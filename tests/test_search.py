@@ -630,6 +630,27 @@ def test_incidence_double_count_values():
         incidence_double_count(4, 7)
 
 
+def test_incidence_budget_counts_cells(monkeypatch):
+    # the budget gates Z's cells, one per hyperplane and variety point, not
+    # N^2: (7,2) has N^2 = 477,204,025 but N |U_7| = 239,530,425 cells, so
+    # it runs at the default budget, and one cell less refuses before any
+    # work
+    from hermvar import search
+
+    N, cells = num_points(7, 2), num_points(7, 2) * nondegenerate_count(7, 2)
+    assert cells == 239_530_425 <= search.DEFAULT_POINT_BUDGET < N * N == 477_204_025
+    rep = incidence_double_count(7, 2)
+    assert rep.variety_points == nondegenerate_count(7, 2) and rep.tangent_count_uniform
+    assert rep.incidence_left == rep.incidence_right
+
+    def no_work(*args):
+        raise AssertionError("incidence built over budget")
+
+    monkeypatch.setattr(search, "hyperplane_tangency", no_work)
+    with pytest.raises(BudgetExceeded, match="239,530,425 incidence cells"):
+        incidence_double_count(7, 2, budget=cells - 1)
+
+
 # SHA-256 of the report JSON, recorded before the incidence kernel ran once
 # per distinct point prefix and the column sums were taken in int32
 INCIDENCE_DIGESTS = {
