@@ -337,7 +337,7 @@ def _emit(report, args, t0):
     stages = report.pop("_stages", None)
     report["timestamp"] = {
         "run_at": datetime.now(timezone.utc).isoformat(),
-        "wall_time_s": round(time.time() - t0, 3),
+        "wall_time_s": round(time.perf_counter() - t0, 3),
     }
     if stages is not None:
         report["timestamp"]["stages"] = {
@@ -370,7 +370,7 @@ def _emit(report, args, t0):
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    t0 = time.time()
+    t0 = time.perf_counter()
     budget = _budget(args)
     try:
         if args.command == "count":

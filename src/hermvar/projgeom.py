@@ -104,25 +104,24 @@ _POINT_ARRAYS = {}
 def point_array(n, ctx):
     """All canonical points as an (N, n+1) uint8 array, in enumeration order.
 
-    Cached per (n, q); treat the result as read-only.  Each pivot block is
-    the one grid that point_grids(n, ctx, Q^n) yields for it, written out as
-    rows, and the blocks are then concatenated.  Written into one (N, n+1)
-    array instead, the same bytes cut the benchmark's peak RSS at (4,7) from
-    91 to 74 MiB, but left the jobs run after it 3-39% slower (median about
-    +23%, 3+3 alternating runs of enum_scan and random_cubics), though no
-    job reads the array; the same was found when the prefix scans came in.
-    A likely cause, not verified, is glibc raising its mmap threshold when
-    the freed 28.8 MB block goes back to the allocator.
+    Cached per (n, q); treat the result as read-only.  The one (N, n+1)
+    array is allocated first, and each pivot block, the one grid that
+    point_grids(n, ctx, Q^n) yields for it, is written into its row range
+    through a view of the grid's shape, one broadcast assignment per
+    coordinate, so the build's peak memory is the array itself.
     """
     key = (n, ctx.q)
     arr = _POINT_ARRAYS.get(key)
     if arr is None:
-        arr = np.concatenate(
-            [
-                np.stack(np.broadcast_arrays(*cols), axis=-1).reshape(-1, n + 1)
-                for cols in point_grids(n, ctx, ctx.order**n)
-            ]
-        )
+        arr = np.empty((num_points(n, ctx.q), n + 1), dtype=np.uint8)
+        a = 0
+        for cols in point_grids(n, ctx, ctx.order**n):
+            shape = np.broadcast_shapes(*(c.shape for c in cols))
+            rows = math.prod(shape)
+            block = arr[a : a + rows].reshape(shape + (n + 1,))
+            for j, col in enumerate(cols):
+                block[..., j] = col
+            a += rows
         arr.setflags(write=False)
         _POINT_ARRAYS[key] = arr
     return arr

@@ -83,6 +83,10 @@ _PRODUCT_MNK = 1 << 18
 # tensor mod p only when the next product's tracked bound would reach this.
 _UNREDUCED_LIMIT = 1 << 24
 _LINE_SLICE = 1 << 20  # dual lines per slice of the catalog
+# _scaled_parts' float32 work buffers by role (_work): "even" and "odd" the
+# pre-final products of even and odd steps, "final" the final products and
+# "quotients" _mod_p's quotients
+_WORK = {}
 
 
 def gaussian_binomial(m, k, Q):
@@ -220,17 +224,17 @@ def _variety_incidence(n, q, budget):
     cells = num_points(n, q) * nondegenerate_count(n, q)
     if cells > budget:
         raise BudgetExceeded(cells, budget, what="incidence cells")
-    t0 = time.time()
+    t0 = time.perf_counter()
     tangent = hyperplane_tangency(n, q)
     upts = point_array(n, ctx)[tangent]
-    t1 = time.time()
+    t1 = time.perf_counter()
     Z = incidence_zero_matrix(n, ctx, upts)
-    t2 = time.time()
+    t2 = time.perf_counter()
     S = np.where(tangent, *hyperplane_section_counts(n, q)).astype(np.int64)
     # the closed-form counts must agree with the enumerated popcounts, exactly
     enum_S = np.bitwise_count(Z).sum(axis=1, dtype=np.int64)
     assert np.array_equal(S, enum_S), "hyperplane section counts disagree"
-    t3 = time.time()
+    t3 = time.perf_counter()
     stages = {"mask_s": t1 - t0, "incidence_s": t2 - t1, "tangency_s": t3 - t2}
     # dot values the incidence kernel computed: hyperplane x point prefixes
     stages["prefix_dots"] = num_points(n - 1, q) * int(_prefix_starts(upts, n).sum())
@@ -240,9 +244,9 @@ def _variety_incidence(n, q, budget):
 def build_geometry(n, q, budget=DEFAULT_POINT_BUDGET):
     """Incidence, tangency and pencil catalog of the variety."""
     _, Z, tangent, S, stages = _variety_incidence(n, q, budget)
-    t3 = time.time()
+    t3 = time.perf_counter()
     planes = dual_line_catalog(n, make_field(q))
-    stages.update(catalog_s=time.time() - t3, pencils=len(planes))
+    stages.update(catalog_s=time.perf_counter() - t3, pencils=len(planes))
     return _Geometry(len(Z), Z, tangent, S, planes, stages)
 
 
@@ -299,7 +303,7 @@ def exhaustive_triples(n, q, budget=DEFAULT_POINT_BUDGET, seed=0):
     The report's `stages` holds build_geometry's stages and the wall time
     of the count products, the pencil loop, the argmax labels and the
     sampled checks, with the number of samples."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     mf = max_cubic_intersection(n, q)  # refuses n < 4 before any work
     ctx = make_field(q)
     N = num_points(n, q)
@@ -315,7 +319,7 @@ def exhaustive_triples(n, q, budget=DEFAULT_POINT_BUDGET, seed=0):
     # from the unpacked variety columns: every pair's section count, and the
     # triple term, the points of each pencil's axis on hyperplane k, for
     # every (pencil, k)
-    t1 = time.time()
+    t1 = time.perf_counter()
     Zu = np.unpackbits(geo.Z, axis=1, count=int(geo.tangent.sum())).astype(np.int64)
     S, P = geo.S, _count_product(Zu, Zu.T)
     assert np.array_equal(np.diagonal(P), S), "pair counts disagree with S"
@@ -331,7 +335,7 @@ def exhaustive_triples(n, q, budget=DEFAULT_POINT_BUDGET, seed=0):
 
     # one pass per pencil, over its pairs i < j against every k > j: the
     # histogram, and every (pencil, i, j, k) at the running maximum
-    t2 = time.time()
+    t2 = time.perf_counter()
     hist = np.zeros(int(3 * S.max()) + 2, dtype=np.int64)
     gmax, argmax = -1, []
     ks = np.arange(N)
@@ -354,7 +358,7 @@ def exhaustive_triples(n, q, budget=DEFAULT_POINT_BUDGET, seed=0):
     enum = on_variety(*argmax[:, 1:].T)
     assert (enum == gmax).all(), "argmax re-verification by enumeration failed"
 
-    t3 = time.time()
+    t3 = time.perf_counter()
     f = standard_form(n, ctx)
     pts = point_array(n, ctx)
 
@@ -379,7 +383,7 @@ def exhaustive_triples(n, q, budget=DEFAULT_POINT_BUDGET, seed=0):
 
     # sampled three-way verification: internal assembly, classification
     # formulas, and bit-packed popcount enumeration
-    t4 = time.time()
+    t4 = time.perf_counter()
     rng = np.random.default_rng(seed)
     verified = 0
     for _ in range(_VERIFY_SAMPLES):
@@ -410,13 +414,13 @@ def exhaustive_triples(n, q, budget=DEFAULT_POINT_BUDGET, seed=0):
             "formula_fraction": 1.0,
             "enumeration_verified": len(argmax) + verified,
         },
-        wall_time_s=time.time() - t0,
+        wall_time_s=time.perf_counter() - t0,
         stages=dict(
             geo.stages,
             products_s=t2 - t1,
             loop_s=t3 - t2,
             labels_s=t4 - t3,
-            samples_s=time.time() - t4,
+            samples_s=time.perf_counter() - t4,
             samples=verified,
         ),
     )
@@ -541,7 +545,7 @@ def incidence_double_count(n, q, budget=DEFAULT_POINT_BUDGET):
     and the numbers of hyperplanes and variety points.
     """
     upts, Z, kinds, _, stages = _variety_incidence(n, q, budget)
-    t0 = time.time()
+    t0 = time.perf_counter()
     ctx = make_field(q)
     f = standard_form(n, ctx)
     nU = len(upts)
@@ -561,7 +565,7 @@ def incidence_double_count(n, q, budget=DEFAULT_POINT_BUDGET):
     assert (hyps_through == hyps_through[0]).all()
     left = int(((hyps_through - tangent_through)).sum())
     right = int(np.bitwise_count(Z[~kinds]).sum(dtype=np.int64))
-    stages.update(count_s=time.time() - t0, hyperplanes=len(Z), points=nU)
+    stages.update(count_s=time.perf_counter() - t0, hyperplanes=len(Z), points=nU)
     return IncidenceReport(
         n=n,
         q=q,
@@ -644,12 +648,24 @@ def _matmul(P, X, out):
     return out
 
 
-def _mod_p(Y, p, scratch):
+def _work(role, shape):
+    """A float32 array of the given shape on the leading entries of the
+    persistent buffer of one of _scaled_parts' roles, which is replaced by
+    a larger one only when the shape needs more than it holds.  No two
+    roles share memory."""
+    size = math.prod(shape)
+    buf = _WORK.get(role)
+    if buf is None or len(buf) < size:
+        buf = _WORK[role] = np.empty(size, dtype=np.float32)
+    return buf[:size].reshape(shape)
+
+
+def _mod_p(Y, p):
     """Y mod p in place for a float32 array of integers below 2^24, as
     Y - p * floor(Y / p) with true division: exact, since Y / p is an
-    integer or at least 1/p away from one.  The first Y.size entries of
-    the flat float32 array scratch hold the quotients."""
-    F = np.divide(Y, p, out=scratch[: Y.size].reshape(Y.shape))
+    integer or at least 1/p away from one.  The quotients go to the
+    persistent buffer of _work's role "quotients"."""
+    F = np.divide(Y, p, out=_work("quotients", Y.shape))
     np.floor(F, out=F)
     F *= p
     Y -= F
@@ -684,7 +700,9 @@ def _scaled_parts(coef, n, ctx, stages):
     C = sum_k x_n^k C_k, lam_r = norm_fibres[r][0] and lam_0^(k-3) := 1.
     Every prefix is yielded once per cubic.  The time of the block set-up
     (walk_s) and the counts of prefixes, points of U_n and contraction
-    passes (chunks) are added into the dict stages.
+    passes (chunks) are added into the dict stages.  The walk is not
+    reentrant: its work buffers are module-wide, so a second walk started
+    before this one ends overwrites this one's tensors.
 
     The prefixes of pivot block s are the grid (0 .. 0, 1, y), y in
     F_{q^2}^g with g = n - 1 - s.  A part's coefficient tensor, one slot
@@ -706,9 +724,17 @@ def _scaled_parts(coef, n, ctx, stages):
     and every product has M K N at most _PRODUCT_MNK (_matmul); a block too
     wide for one cubic is cut into grids that fix its last coordinates to
     every value in turn, each grid's tensor the monomials' coefficients
-    times the fixed values' powers.  With the reduction's scratch and the
-    caller's keys, the live arrays stay within _EVAL_CHUNK_BYTES, beside
-    the caller's root table."""
+    times the fixed values' powers.  With the reduction's quotients and
+    the caller's keys, the live arrays stay within _EVAL_CHUNK_BYTES,
+    beside the caller's root table.
+
+    The pre-final products of even and odd steps, the final products and
+    the quotients each live in one persistent float32 buffer per role
+    (_work), kept across calls and grown only when a shape needs more than
+    it holds, so a warm call allocates none of them: taken fresh, each
+    array above glibc's default 128 KiB mmap threshold is a new mapping
+    whose pages fault on first touch, and the job's time then depends on
+    whether an earlier free had raised that threshold."""
     p, m, Q, T = ctx.p, ctx.ndigits, ctx.order, len(coef)
     add, mul, neg, nrm = ctx.add_table, ctx.mul_table, ctx.neg_table, ctx.norm_table
     grow = 4 * m * (p - 1)  # a product's entries per unit of its input's
@@ -718,7 +744,7 @@ def _scaled_parts(coef, n, ctx, stages):
         """X and its entries' bound, reduced mod p first if a product of X
         could reach _UNREDUCED_LIMIT."""
         if grow * bound >= _UNREDUCED_LIMIT:
-            return _mod_p(X, p, scratch), p - 1
+            return _mod_p(X, p), p - 1
         return X, bound
 
     exps = monomial_exponents(n, 3)
@@ -739,7 +765,7 @@ def _scaled_parts(coef, n, ctx, stages):
     max_cols = part // per_col  # columns of a grid for one cubic
     offs = _rank_offsets(n - 1, Q)
     pw = np.stack([np.ones(Q, dtype=np.uint8), x, mul[x, x], mul[mul[x, x], x]], axis=1)
-    t0 = time.time()
+    t0 = time.perf_counter()
     for s in range(n):
         g = n - 1 - s
         ys = x if g else x[1:2]
@@ -776,20 +802,18 @@ def _scaled_parts(coef, n, ctx, stages):
             # columns of one final product: its bytes and its M K N capped
             cap = min(part // 3 // (4 * m * L * tb), _PRODUCT_MNK // (4 * m * m * L * tb))
             step = min(max(1, cap), max(map(len, groups)))
-            buf = np.empty(3 * m * L * step * tb, dtype=np.float32)
-            scratch = np.empty(max(len(buf), 12 * m * C * tb), dtype=np.float32)
             for b0 in range(0, T, tb):
                 # the grid's coefficient tensor in digits, [k, slot, j, t];
                 # fixed coordinates can send several monomials to one slot
                 c = mul[mult[:, None], cf[:, b0 : b0 + tb]]
                 X = np.zeros((3, 4**G, m, c.shape[1]), dtype=np.float32)
                 np.add.at(X, (ks, slots), ctx.digit_table[:, c].transpose(1, 0, 2))
-                X, bound = _mod_p(X, p, scratch).reshape(-1, 4 * m, c.shape[1]), p - 1
-                stages["walk_s"] += time.time() - t0
+                X, bound = _mod_p(X, p).reshape(-1, 4 * m, c.shape[1]), p - 1
+                stages["walk_s"] += time.perf_counter() - t0
                 stages["chunks"] += 1
-                for _ in range(G - 1):  # y_G .. y_2, each a new leading column axis
+                for i in range(G - 1):  # y_G .. y_2, each a new leading column axis
                     X, bound = reduced(X, bound)
-                    Y = np.empty((len(X), len(P), X.shape[-1]), dtype=np.float32)
+                    Y = _work(("even", "odd")[i % 2], (len(X), len(P), X.shape[-1]))
                     X = _matmul(P, X, Y).reshape(-1, 4 * m, Q * Y.shape[-1])
                     bound *= grow
                 X = reduced(X, bound)[0].reshape(3, 4 * m, C, -1)
@@ -801,14 +825,14 @@ def _scaled_parts(coef, n, ctx, stages):
                     for a in range(0, len(idx), step):
                         cols = idx[a : a + step]
                         Xg = X[:, :, cols]
-                        Y = buf[: 3 * m * L * Xg[0, 0].size].reshape(3, m * L, -1)
+                        Y = _work("final", (3, m * L, Xg[0, 0].size))
                         for k, Pk in enumerate(finals[sigma, L]):
                             _matmul(Pk, Xg[k].reshape(4 * m, -1), Y[k])
-                        _mod_p(Y, p, scratch)
+                        _mod_p(Y, p)
                         ranks = lead[:, None] + (rank + cols * Q**f)
                         yield b0, ranks, r, Y.reshape(3, m, L, len(cols), -1)
-                t0 = time.time()
-    stages["walk_s"] += time.time() - t0
+                t0 = time.perf_counter()
+    stages["walk_s"] += time.perf_counter() - t0
 
 
 def _zero_counts(polys, n, ctx, stages):
@@ -870,7 +894,7 @@ def random_cubic_sample(
     if trials < 0:
         raise OutOfRange(f"trials={trials} must be >= 0")
     threshold = cubic_bound_closed(n, q)
-    t0 = time.time()
+    t0 = time.perf_counter()
     ctx = make_field(q)
     points = nondegenerate_count(n, q)
     if points > budget:
@@ -884,10 +908,10 @@ def random_cubic_sample(
             kept[t] = C
         else:
             discarded.append({"trial": t, "linear_factor": list(lf.covector)})
-    t1 = time.time()
+    t1 = time.perf_counter()
     stages = dict(walk_s=0.0, prefixes=0, points=0, chunks=0)
     counts = _zero_counts(list(kept.values()), n, ctx, stages) if kept else []
-    t2 = time.time()
+    t2 = time.perf_counter()
     stages.update(screen_s=t1 - t0, eval_s=t2 - t1 - stages["walk_s"])
     stages["trials_batched"] = len(kept)
     hist = {}

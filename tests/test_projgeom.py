@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,24 @@ def test_point_rows_every_range_matches_the_stream(n, q):
             assert np.array_equal(got, want[a : a + len(got)]), (size, a)
             a += len(got)
         assert a == N, size
+
+
+def test_point_array_build_peaks_at_the_array(monkeypatch):
+    # the blocks are written into the one array, not built apart and
+    # concatenated: a fresh build's traced peak is the array itself (2.00x
+    # its bytes when concatenated)
+    from hermvar import projgeom
+
+    ctx = make_field(5)
+    monkeypatch.setattr(projgeom, "_POINT_ARRAYS", {})
+    tracemalloc.start()
+    try:
+        arr = point_array(4, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert arr.shape == (num_points(4, 5), 5)
+    assert peak <= 1.05 * arr.nbytes, peak / arr.nbytes
 
 
 def test_point_array_at_4_7_is_canonical_and_ranked_in_order():

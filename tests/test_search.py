@@ -834,6 +834,61 @@ def test_random_cubic_sample_without_retained_trials(monkeypatch):
     assert dropped.discarded_divisible[3] == {"trial": 3, "linear_factor": [1, 0, 0, 0, 0]}
 
 
+def _seeded_cubics(n, q, count):
+    from hermvar.cubics import random_hypersurface
+
+    ctx = make_field(q)
+    rng = np.random.default_rng(q)
+    return ctx, [random_hypersurface(n, 3, ctx, rng) for _ in range(count)]
+
+
+def test_warm_zero_counts_allocates_no_work_buffers():
+    # the pre-final and final products and the mod-p quotients live in
+    # persistent per-role buffers: after one warm call, a second call on 12
+    # cubics at (4,7) takes under 1 MiB of new numpy memory (6.04 MiB when
+    # every call took its own)
+    from hermvar import search
+
+    ctx, polys = _seeded_cubics(4, 7, 12)
+    stages = dict(walk_s=0.0, prefixes=0, points=0, chunks=0)
+    first = search._zero_counts(polys, 4, ctx, dict(stages))
+    tracemalloc.start()
+    try:
+        again = search._zero_counts(polys, 4, ctx, dict(stages))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(first, again)
+    assert peak < 1 << 20, peak
+
+
+def test_zero_counts_interleaved_shapes_match_fresh_runs(monkeypatch):
+    # the buffers are shared across calls and grown on demand: (4,7), then
+    # (3,5) in 2 KiB chunks on the prefixes of (4,7)'s buffers, then (4,7)
+    # again on what (3,5) left, each equal to a run on empty buffers and to
+    # the enumeration oracle; no two roles ever share memory
+    from hermvar import search
+    from hermvar.cubics import intersect_count_enum
+
+    stages = dict(walk_s=0.0, prefixes=0, points=0, chunks=0)
+    default = search._EVAL_CHUNK_BYTES
+    shared = {}
+    monkeypatch.setattr(search, "_WORK", shared)
+    for n, q, budget in ((4, 7, default), (3, 5, 1 << 11), (4, 7, default)):
+        ctx, polys = _seeded_cubics(n, q, 6)
+        monkeypatch.setattr(search, "_EVAL_CHUNK_BYTES", budget)
+        got = search._zero_counts(polys, n, ctx, dict(stages))
+        bufs = list(shared.values())
+        assert len(bufs) == 4
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(bufs, 2))
+        monkeypatch.setattr(search, "_WORK", {})
+        fresh = search._zero_counts(polys, n, ctx, dict(stages))
+        monkeypatch.setattr(search, "_WORK", shared)
+        f = standard_form(n, ctx)
+        want = [intersect_count_enum(C, f) for C in polys]
+        assert got.tolist() == fresh.tolist() == want, (n, q)
+
+
 def _kernel_cubics(n, ctx, rng):
     """A random, a sparse, x_n^3 and a product of three hyperplanes."""
     from hermvar.cubics import (

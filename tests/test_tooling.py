@@ -36,6 +36,22 @@ def test_no_module_starts_processes_or_thread_pools():
             assert not name.startswith("concurrent.futures"), (path.name, name)
 
 
+def test_durations_use_a_monotonic_clock():
+    # stage and wall times are differences of time.perf_counter(); the wall
+    # clock time.time() can step backwards or forwards between two reads
+    files = sorted(SRC.rglob("*.py"))
+    assert files
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "time":
+                assert not (isinstance(node.value, ast.Name) and node.value.id == "time"), (
+                    path.name,
+                    node.lineno,
+                )
+            if isinstance(node, ast.ImportFrom) and node.module == "time":
+                assert "time" not in {a.name for a in node.names}, (path.name, node.lineno)
+
+
 def test_traced_run_names_resolve():
     # the traced benchmark run looks up every (module, name) of
     # perfbench/layers.py's WRAPPED with getattr, so each must still exist
